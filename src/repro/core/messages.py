@@ -5,12 +5,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Tuple
 
+from repro.util.wire_schema import (
+    INT, STR, VALUE, pair, register_kind_ids, tuple_of, wire_message,
+)
+
 KIND_UPDATE = "qs.update"
 KIND_FOLLOWERS = "fs.followers"
 KIND_DIGEST = "qs.digest"
 KIND_ROWS = "qs.rows"
+register_kind_ids({KIND_UPDATE: 4, KIND_FOLLOWERS: 5, KIND_DIGEST: 6, KIND_ROWS: 7})
 
 
+@wire_message(0x0E, "__update__", row=tuple_of(INT))
 @dataclass(frozen=True)
 class UpdatePayload:
     """``<UPDATE, suspected[i]>_sigma_i`` — one process's signed row.
@@ -29,6 +35,10 @@ class UpdatePayload:
         return ("update", self.row)
 
 
+@wire_message(
+    0x0F, "__followers__",
+    followers=tuple_of(INT), line_edges=tuple_of(pair(INT, INT)), epoch=INT,
+)
 @dataclass(frozen=True)
 class FollowersPayload:
     """``<FOLLOWERS, Fw, L, e>_sigma_j`` — a leader's follower choice.
@@ -47,6 +57,7 @@ class FollowersPayload:
         return ("followers", self.followers, self.line_edges, self.epoch)
 
 
+@wire_message(0x10, "__digest__", epoch=INT, row_digests=tuple_of(STR))
 @dataclass(frozen=True)
 class MatrixDigestPayload:
     """``<DIGEST, e, d_0..d_n>`` — anti-entropy summary of the local matrix.
@@ -65,6 +76,7 @@ class MatrixDigestPayload:
         return ("digest", self.epoch, self.row_digests)
 
 
+@wire_message(0x11, "__rows__", certs=tuple_of(VALUE))
 @dataclass(frozen=True)
 class RowCertsPayload:
     """``<ROWS, certs>`` — anti-entropy response carrying signed rows.

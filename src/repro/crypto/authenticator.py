@@ -9,8 +9,10 @@ from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import Signature, sign_payload, verify_payload
 from repro.util.errors import AuthenticationError
 from repro.util.ids import ProcessId, validate_pid
+from repro.util.wire_schema import VALUE, value, wire_message
 
 
+@wire_message(0x0C, "__signed__", payload=VALUE, signature=value(Signature))
 @dataclass(frozen=True)
 class SignedMessage:
     """A payload together with its signature — the paper's ``<m>_sigma_i``.

@@ -10,8 +10,10 @@ from typing import Any
 from repro.crypto.digests import canonical_encode_cached
 from repro.crypto.keys import KeyRegistry
 from repro.util.ids import ProcessId
+from repro.util.wire_schema import BYTES, INT, wire_message
 
 
+@wire_message(0x0D, "__sig__", signer=INT, tag=BYTES)
 @dataclass(frozen=True)
 class Signature:
     """A signature: claimed signer id plus MAC tag over the payload.

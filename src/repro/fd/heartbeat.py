@@ -19,10 +19,12 @@ from repro.fd.expectations import ExpectationHandle
 from repro.obs.observability import get_obs
 from repro.sim.process import Module, ProcessHost
 from repro.util.ids import ProcessId
+from repro.util.wire_schema import register_kind_ids
 
 HEARTBEAT = "heartbeat"
 PING = "fd.ping"
 PONG = "fd.pong"
+register_kind_ids({HEARTBEAT: 1, PING: 2, PONG: 3})
 
 
 def _is_heartbeat(kind: str, payload: Any) -> bool:

@@ -20,6 +20,9 @@ from typing import Any, Optional, Tuple
 
 from repro.crypto.authenticator import SignedMessage
 from repro.crypto.digests import digest
+from repro.util.wire_schema import (
+    INT, STR, VALUE, pair, register_kind_ids, tuple_of, wire_message,
+)
 from repro.xpaxos.messages import ClientRequest
 
 KIND_PREPREPARE = "ibft.preprepare"
@@ -27,12 +30,16 @@ KIND_PREPARE = "ibft.prepare"
 KIND_COMMIT = "ibft.commit"
 KIND_ROUNDCHANGE = "ibft.roundchange"
 KIND_NEWROUND = "ibft.newround"
+register_kind_ids({
+    KIND_PREPREPARE: 15, KIND_PREPARE: 16, KIND_COMMIT: 17, KIND_ROUNDCHANGE: 18, KIND_NEWROUND: 19,
+})
 
 
 def _enc(value: Any) -> Any:
     return value.canonical() if hasattr(value, "canonical") else value
 
 
+@wire_message(0x1B, "__ipp__", round=INT, slot=INT, signed_requests=tuple_of(VALUE))
 @dataclass(frozen=True)
 class PrePreparePayload:
     """``PRE-PREPARE(round, slot, signed_requests)`` from the round's leader.
@@ -61,6 +68,7 @@ class PrePreparePayload:
         return digest(self.canonical())
 
 
+@wire_message(0x1C, "__iprep__", round=INT, slot=INT, request_digest=STR)
 @dataclass(frozen=True)
 class IbftPreparePayload:
     """``PREPARE(round, slot, digest)`` — a member's echo vote."""
@@ -73,6 +81,7 @@ class IbftPreparePayload:
         return ("ibft-prepare", self.round, self.slot, self.request_digest)
 
 
+@wire_message(0x1D, "__icommit__", round=INT, slot=INT, request_digest=STR)
 @dataclass(frozen=True)
 class IbftCommitPayload:
     """``COMMIT(round, slot, digest)`` — a member's commit vote."""
@@ -85,6 +94,7 @@ class IbftCommitPayload:
         return ("ibft-commit", self.round, self.slot, self.request_digest)
 
 
+@wire_message(0x1E, "__icert__", preprepare=VALUE, commits=tuple_of(VALUE))
 @dataclass(frozen=True)
 class IbftCommitCertificate:
     """Proof that one batch committed at one (round, slot).
@@ -159,6 +169,10 @@ def ibft_certificate_is_valid(
     return signers == quorum - {preprepare.signer}
 
 
+@wire_message(
+    0x1F, "__irc__",
+    new_round=INT, committed=tuple_of(VALUE), prepared=tuple_of(pair(INT, VALUE)),
+)
 @dataclass(frozen=True)
 class RoundChangePayload:
     """``ROUND-CHANGE(new_round, committed, prepared)``.
@@ -187,6 +201,7 @@ class RoundChangePayload:
         )
 
 
+@wire_message(0x20, "__inr__", round=INT, committed=tuple_of(VALUE))
 @dataclass(frozen=True)
 class NewRoundPayload:
     """``NEW-ROUND(round, committed)`` from the new leader (certified)."""

@@ -9,11 +9,10 @@ A frame on the wire is a 4-byte big-endian length followed by one frame
   objects (``{"__tuple__": [...]}`` etc.).  Bodies always start with
   ``{`` (0x7B), which is what makes version dispatch a first-byte check.
 - **WIRE_V2** — a compact binary body: a struct-packed fixed header
-  (magic byte 0x02, kind tag, source id), then a type-tagged binary
-  value encoding (LEB128 varints, zigzag ints, length-prefixed strings
-  and bytes).  Encoding reuses a preallocated scratch buffer and a memo
-  keyed by payload identity; decoding walks a ``memoryview`` cursor with
-  zero-copy slicing and memoizes immutable bodies.
+  (magic byte 0x02, kind id, source id), then a type-tagged binary
+  value encoding.  Encoding reuses a preallocated scratch buffer and a
+  memo keyed by payload identity; decoding walks a ``memoryview`` cursor
+  with zero-copy slicing and memoizes immutable bodies.
 
 Batches are a third body shape (magic byte 0x03): several frame bodies
 in one envelope, optionally authenticated by a single link-level
@@ -23,14 +22,17 @@ ingress path previously paid one signature verification per *frame*
 host and failure detector; the batch MAC adds link-origin integrity to
 otherwise unsigned frames such as anti-entropy probes).
 
-The payload vocabulary of both codecs is exactly the one
-:mod:`repro.crypto.digests` canonically encodes — ``None``/bool/int/
-float/str plus bytes, tuples, lists, sets, frozensets, dicts, and the
-protocol dataclasses.  A decoded payload is *type-identical* to the sent
-one — which matters because signature verification re-derives the
-canonical encoding from the decoded object: a tuple that came back as a
-list would change the bytes under the MAC and reject every valid
-signature.
+This module owns frames, batches, negotiation and stream decoding.  How
+a *value* is written in either codec lives in
+:mod:`repro.util.wire_schema`: the builtin vocabulary (``None``/bool/
+int/float/str, bytes, tuples, lists, sets, frozensets, dicts — exactly
+what :mod:`repro.crypto.digests` canonically encodes) plus every message
+dataclass that declared its fields there.  Nothing here names a message
+class; a new message kind or backend adds no line to this file.  A
+decoded payload is *type-identical* to the sent one — which matters
+because signature verification re-derives the canonical encoding from
+the decoded object: a tuple that came back as a list would change the
+bytes under the MAC and reject every valid signature.
 
 Decoding is strict and defensive: unknown tags, wrong arities, oversized
 frames, and over-deep nesting raise :class:`WireError` — receivers drop
@@ -46,40 +48,30 @@ import os
 import struct
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.messages import (
-    FollowersPayload,
-    MatrixDigestPayload,
-    RowCertsPayload,
-    UpdatePayload,
-)
-from repro.crypto.authenticator import SignedMessage
-from repro.crypto.signatures import Signature
-from repro.ibft.messages import (
-    IbftCommitCertificate,
-    IbftCommitPayload,
-    IbftPreparePayload,
-    NewRoundPayload,
-    PrePreparePayload,
-    RoundChangePayload,
-)
-from repro.xpaxos.messages import (
-    CheckpointCertificate,
-    CheckpointPayload,
-    ClientRequest,
-    CommitCertificate,
-    CommitPayload,
-    NewViewPayload,
-    PreparePayload,
-    ReplyPayload,
-    ViewChangePayload,
+# Imported for their side effect: each registers its message schemas and
+# compact kind ids, so every kind the tree can send decodes in any
+# process that can read a frame.
+import repro.core.messages  # noqa: F401
+import repro.fd.heartbeat  # noqa: F401
+import repro.ibft.messages  # noqa: F401
+import repro.xpaxos.messages  # noqa: F401
+from repro.util.wire_schema import (  # noqa: F401 - re-exported API
+    KIND_BY_ID,
+    KIND_IDS,
+    MAX_DEPTH,
+    WireError,
+    decode_value,
+    decode_value_v2,
+    encode_value,
+    encode_value_v2,
+    read_str,
+    write_uvarint,
 )
 
-#: The two negotiable codec versions.  ``WIRE_VERSION`` is kept as an
-#: alias of V1 for backward compatibility with earlier imports.
+#: The two negotiable codec versions.
 WIRE_V1 = 1
 WIRE_V2 = 2
 WIRE_VERSIONS = (WIRE_V1, WIRE_V2)
-WIRE_VERSION = WIRE_V1
 
 #: What a fresh connection offers when nothing picks a version
 #: explicitly (``PeerManager(wire_version=...)`` or ``REPRO_WIRE_VERSION``).
@@ -89,9 +81,6 @@ DEFAULT_WIRE_VERSION = WIRE_V2
 #: tiny (a signed row for n=100 is ~1 KiB); the cap bounds what a
 #: malicious or broken peer can make a receiver buffer.
 MAX_FRAME_BYTES = 1 << 20
-
-#: Maximum nesting depth accepted while decoding (stack-bomb guard).
-MAX_DEPTH = 32
 
 _LEN = struct.Struct(">I")
 
@@ -105,10 +94,6 @@ MAGIC_BATCH = 0x03
 KIND_HELLO = "wire.hello"
 KIND_ACK = "wire.ack"
 _CONTROL_PREFIX = "wire."
-
-
-class WireError(ValueError):
-    """A frame violated the wire protocol (malformed, oversized, unknown)."""
 
 
 class BatchAuthError(WireError):
@@ -135,499 +120,6 @@ def is_control_kind(kind: str) -> bool:
     return kind.startswith(_CONTROL_PREFIX)
 
 
-# ------------------------------------------------------------ V1 value codec
-
-
-def encode_value(value: Any, _depth: int = 0) -> Any:
-    """Map a payload structure onto JSON-representable tagged values."""
-    if _depth > MAX_DEPTH:
-        raise WireError(f"payload nesting exceeds {MAX_DEPTH}")
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, bytes):
-        return {"__bytes__": value.hex()}
-    if isinstance(value, tuple):
-        return {"__tuple__": [encode_value(v, _depth + 1) for v in value]}
-    if isinstance(value, list):
-        return {"__list__": [encode_value(v, _depth + 1) for v in value]}
-    if isinstance(value, (set, frozenset)):
-        tag = "__frozenset__" if isinstance(value, frozenset) else "__set__"
-        items = sorted(
-            (encode_value(v, _depth + 1) for v in value),
-            key=lambda item: json.dumps(item, sort_keys=True),
-        )
-        return {tag: items}
-    if isinstance(value, dict):
-        return {
-            "__map__": [
-                [encode_value(k, _depth + 1), encode_value(v, _depth + 1)]
-                for k, v in value.items()
-            ]
-        }
-    if isinstance(value, SignedMessage):
-        return {
-            "__signed__": [
-                encode_value(value.payload, _depth + 1),
-                encode_value(value.signature, _depth + 1),
-            ]
-        }
-    if isinstance(value, Signature):
-        return {"__sig__": [value.signer, value.tag.hex()]}
-    if isinstance(value, UpdatePayload):
-        return {"__update__": list(value.row)}
-    if isinstance(value, FollowersPayload):
-        return {
-            "__followers__": [
-                list(value.followers),
-                [list(edge) for edge in value.line_edges],
-                value.epoch,
-            ]
-        }
-    if isinstance(value, MatrixDigestPayload):
-        return {"__digest__": [value.epoch, list(value.row_digests)]}
-    if isinstance(value, RowCertsPayload):
-        return {"__rows__": [encode_value(c, _depth + 1) for c in value.certs]}
-    if isinstance(value, ClientRequest):
-        return {
-            "__xreq__": [
-                _int(value.client, "client"),
-                _int(value.sequence, "sequence"),
-                encode_value(value.op, _depth + 1),
-            ]
-        }
-    if isinstance(value, PreparePayload):
-        return {
-            "__xprep__": [
-                _int(value.view, "view"),
-                _int(value.slot, "slot"),
-                [encode_value(sm, _depth + 1) for sm in value.signed_requests],
-            ]
-        }
-    if isinstance(value, CommitPayload):
-        return {
-            "__xcommit__": [
-                _int(value.view, "view"),
-                _int(value.slot, "slot"),
-                encode_value(value.prepare, _depth + 1),
-            ]
-        }
-    if isinstance(value, CommitCertificate):
-        return {
-            "__xcert__": [
-                encode_value(value.prepare, _depth + 1),
-                [encode_value(c, _depth + 1) for c in value.commits],
-            ]
-        }
-    if isinstance(value, CheckpointPayload):
-        _require(isinstance(value.state_digest, str), "state digest must be a string")
-        return {
-            "__xckpt__": [
-                _int(value.view, "view"),
-                _int(value.slot_count, "slot_count"),
-                value.state_digest,
-            ]
-        }
-    if isinstance(value, CheckpointCertificate):
-        return {"__xckptcert__": [encode_value(v, _depth + 1) for v in value.votes]}
-    if isinstance(value, ViewChangePayload):
-        return {
-            "__xvc__": [
-                _int(value.new_view, "new_view"),
-                [encode_value(c, _depth + 1) for c in value.committed],
-                _encode_prepared_pairs(value.prepared, _depth + 1),
-                encode_value(value.checkpoint, _depth + 1),
-                encode_value(value.snapshot, _depth + 1),
-            ]
-        }
-    if isinstance(value, NewViewPayload):
-        return {
-            "__xnv__": [
-                _int(value.view, "view"),
-                [encode_value(c, _depth + 1) for c in value.committed],
-                encode_value(value.checkpoint, _depth + 1),
-                encode_value(value.snapshot, _depth + 1),
-            ]
-        }
-    if isinstance(value, ReplyPayload):
-        return {
-            "__xreply__": [
-                _int(value.client, "client"),
-                _int(value.sequence, "sequence"),
-                encode_value(value.result, _depth + 1),
-                _int(value.replica, "replica"),
-                _int(value.view, "view"),
-            ]
-        }
-    if isinstance(value, PrePreparePayload):
-        return {
-            "__ipp__": [
-                _int(value.round, "round"),
-                _int(value.slot, "slot"),
-                [encode_value(sm, _depth + 1) for sm in value.signed_requests],
-            ]
-        }
-    if isinstance(value, IbftPreparePayload):
-        _require(isinstance(value.request_digest, str), "request digest must be a string")
-        return {
-            "__iprep__": [
-                _int(value.round, "round"),
-                _int(value.slot, "slot"),
-                value.request_digest,
-            ]
-        }
-    if isinstance(value, IbftCommitPayload):
-        _require(isinstance(value.request_digest, str), "request digest must be a string")
-        return {
-            "__icommit__": [
-                _int(value.round, "round"),
-                _int(value.slot, "slot"),
-                value.request_digest,
-            ]
-        }
-    if isinstance(value, IbftCommitCertificate):
-        return {
-            "__icert__": [
-                encode_value(value.preprepare, _depth + 1),
-                [encode_value(c, _depth + 1) for c in value.commits],
-            ]
-        }
-    if isinstance(value, RoundChangePayload):
-        return {
-            "__irc__": [
-                _int(value.new_round, "new_round"),
-                [encode_value(c, _depth + 1) for c in value.committed],
-                _encode_prepared_pairs(value.prepared, _depth + 1),
-            ]
-        }
-    if isinstance(value, NewRoundPayload):
-        return {
-            "__inr__": [
-                _int(value.round, "round"),
-                [encode_value(c, _depth + 1) for c in value.committed],
-            ]
-        }
-    raise WireError(f"cannot encode {type(value).__name__} for the wire")
-
-
-def _encode_prepared_pairs(prepared: Any, depth: int) -> List[List[Any]]:
-    pairs = []
-    for entry in prepared:
-        _require(
-            isinstance(entry, tuple) and len(entry) == 2,
-            "prepared entries must be (slot, prepare) pairs",
-        )
-        pairs.append([_int(entry[0], "slot"), encode_value(entry[1], depth)])
-    return pairs
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise WireError(message)
-
-
-def _int(value: Any, what: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{what} must be an int")
-    return value
-
-
-def _int_tuple(value: Any, what: str) -> Tuple[int, ...]:
-    _require(isinstance(value, list), f"{what} must be a list")
-    return tuple(_int(v, what) for v in value)
-
-
-def decode_value(value: Any, _depth: int = 0) -> Any:
-    """Inverse of :func:`encode_value`; raises :class:`WireError` on garbage."""
-    if _depth > MAX_DEPTH:
-        raise WireError(f"payload nesting exceeds {MAX_DEPTH}")
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, list):
-        raise WireError("bare JSON arrays are not in the vocabulary (use a tag)")
-    _require(isinstance(value, dict) and len(value) == 1, "expected a single-key tag object")
-    tag, body = next(iter(value.items()))
-    if tag == "__bytes__":
-        _require(isinstance(body, str), "__bytes__ body must be a hex string")
-        try:
-            return bytes.fromhex(body)
-        except ValueError as exc:
-            raise WireError("__bytes__ body is not valid hex") from exc
-    if tag == "__tuple__":
-        _require(isinstance(body, list), "__tuple__ body must be a list")
-        return tuple(decode_value(v, _depth + 1) for v in body)
-    if tag == "__list__":
-        _require(isinstance(body, list), "__list__ body must be a list")
-        return [decode_value(v, _depth + 1) for v in body]
-    if tag in ("__set__", "__frozenset__"):
-        _require(isinstance(body, list), f"{tag} body must be a list")
-        items = [decode_value(v, _depth + 1) for v in body]
-        return frozenset(items) if tag == "__frozenset__" else set(items)
-    if tag == "__map__":
-        _require(isinstance(body, list), "__map__ body must be a list of pairs")
-        out = {}
-        for pair in body:
-            _require(isinstance(pair, list) and len(pair) == 2, "__map__ entries must be pairs")
-            out[decode_value(pair[0], _depth + 1)] = decode_value(pair[1], _depth + 1)
-        return out
-    if tag == "__signed__":
-        _require(isinstance(body, list) and len(body) == 2, "__signed__ needs [payload, sig]")
-        signature = decode_value(body[1], _depth + 1)
-        _require(isinstance(signature, Signature), "__signed__ second element must be a __sig__")
-        return SignedMessage(decode_value(body[0], _depth + 1), signature)
-    if tag == "__sig__":
-        _require(isinstance(body, list) and len(body) == 2, "__sig__ needs [signer, tag]")
-        _require(isinstance(body[1], str), "__sig__ tag must be a hex string")
-        try:
-            mac = bytes.fromhex(body[1])
-        except ValueError as exc:
-            raise WireError("__sig__ tag is not valid hex") from exc
-        return Signature(signer=_int(body[0], "signer"), tag=mac)
-    if tag == "__update__":
-        return UpdatePayload(row=_int_tuple(body, "__update__ row"))
-    if tag == "__followers__":
-        _require(
-            isinstance(body, list) and len(body) == 3,
-            "__followers__ needs [followers, edges, epoch]",
-        )
-        followers = _int_tuple(body[0], "followers")
-        _require(isinstance(body[1], list), "line edges must be a list")
-        edges = []
-        for edge in body[1]:
-            _require(isinstance(edge, list) and len(edge) == 2, "line edges must be pairs")
-            edges.append((_int(edge[0], "edge"), _int(edge[1], "edge")))
-        return FollowersPayload(
-            followers=followers, line_edges=tuple(edges), epoch=_int(body[2], "epoch")
-        )
-    if tag == "__digest__":
-        _require(isinstance(body, list) and len(body) == 2, "__digest__ needs [epoch, digests]")
-        _require(isinstance(body[1], list), "row digests must be a list")
-        digests = []
-        for item in body[1]:
-            _require(isinstance(item, str), "row digests must be strings")
-            digests.append(item)
-        return MatrixDigestPayload(epoch=_int(body[0], "epoch"), row_digests=tuple(digests))
-    if tag == "__rows__":
-        _require(isinstance(body, list), "__rows__ body must be a list")
-        return RowCertsPayload(certs=tuple(decode_value(v, _depth + 1) for v in body))
-    if tag == "__xreq__":
-        _require(isinstance(body, list) and len(body) == 3, "__xreq__ needs [client, seq, op]")
-        op = decode_value(body[2], _depth + 1)
-        _require(isinstance(op, tuple), "__xreq__ op must be a tuple")
-        return ClientRequest(
-            client=_int(body[0], "client"), sequence=_int(body[1], "sequence"), op=op
-        )
-    if tag == "__xprep__":
-        _require(
-            isinstance(body, list) and len(body) == 3,
-            "__xprep__ needs [view, slot, requests]",
-        )
-        _require(isinstance(body[2], list), "__xprep__ requests must be a list")
-        return PreparePayload(
-            view=_int(body[0], "view"),
-            slot=_int(body[1], "slot"),
-            signed_requests=tuple(decode_value(v, _depth + 1) for v in body[2]),
-        )
-    if tag == "__xcommit__":
-        _require(
-            isinstance(body, list) and len(body) == 3,
-            "__xcommit__ needs [view, slot, prepare]",
-        )
-        return CommitPayload(
-            view=_int(body[0], "view"),
-            slot=_int(body[1], "slot"),
-            prepare=decode_value(body[2], _depth + 1),
-        )
-    if tag == "__xcert__":
-        _require(
-            isinstance(body, list) and len(body) == 2,
-            "__xcert__ needs [prepare, commits]",
-        )
-        _require(isinstance(body[1], list), "__xcert__ commits must be a list")
-        return CommitCertificate(
-            prepare=decode_value(body[0], _depth + 1),
-            commits=tuple(decode_value(v, _depth + 1) for v in body[1]),
-        )
-    if tag == "__xckpt__":
-        _require(
-            isinstance(body, list) and len(body) == 3,
-            "__xckpt__ needs [view, slot_count, digest]",
-        )
-        _require(isinstance(body[2], str), "__xckpt__ digest must be a string")
-        return CheckpointPayload(
-            view=_int(body[0], "view"),
-            slot_count=_int(body[1], "slot_count"),
-            state_digest=body[2],
-        )
-    if tag == "__xckptcert__":
-        _require(isinstance(body, list), "__xckptcert__ body must be a list")
-        return CheckpointCertificate(
-            votes=tuple(decode_value(v, _depth + 1) for v in body)
-        )
-    if tag == "__xvc__":
-        _require(
-            isinstance(body, list) and len(body) == 5,
-            "__xvc__ needs [new_view, committed, prepared, checkpoint, snapshot]",
-        )
-        _require(isinstance(body[1], list), "__xvc__ committed must be a list")
-        _require(isinstance(body[2], list), "__xvc__ prepared must be a list")
-        prepared = []
-        for pair in body[2]:
-            _require(
-                isinstance(pair, list) and len(pair) == 2,
-                "__xvc__ prepared entries must be pairs",
-            )
-            prepared.append((_int(pair[0], "slot"), decode_value(pair[1], _depth + 1)))
-        snapshot = decode_value(body[4], _depth + 1)
-        _require(snapshot is None or isinstance(snapshot, tuple), "snapshot must be a tuple")
-        return ViewChangePayload(
-            new_view=_int(body[0], "new_view"),
-            committed=tuple(decode_value(v, _depth + 1) for v in body[1]),
-            prepared=tuple(prepared),
-            checkpoint=decode_value(body[3], _depth + 1),
-            snapshot=snapshot,
-        )
-    if tag == "__xnv__":
-        _require(
-            isinstance(body, list) and len(body) == 4,
-            "__xnv__ needs [view, committed, checkpoint, snapshot]",
-        )
-        _require(isinstance(body[1], list), "__xnv__ committed must be a list")
-        snapshot = decode_value(body[3], _depth + 1)
-        _require(snapshot is None or isinstance(snapshot, tuple), "snapshot must be a tuple")
-        return NewViewPayload(
-            view=_int(body[0], "view"),
-            committed=tuple(decode_value(v, _depth + 1) for v in body[1]),
-            checkpoint=decode_value(body[2], _depth + 1),
-            snapshot=snapshot,
-        )
-    if tag == "__xreply__":
-        _require(
-            isinstance(body, list) and len(body) == 5,
-            "__xreply__ needs [client, seq, result, replica, view]",
-        )
-        return ReplyPayload(
-            client=_int(body[0], "client"),
-            sequence=_int(body[1], "sequence"),
-            result=decode_value(body[2], _depth + 1),
-            replica=_int(body[3], "replica"),
-            view=_int(body[4], "view"),
-        )
-    if tag == "__ipp__":
-        _require(
-            isinstance(body, list) and len(body) == 3,
-            "__ipp__ needs [round, slot, requests]",
-        )
-        _require(isinstance(body[2], list), "__ipp__ requests must be a list")
-        return PrePreparePayload(
-            round=_int(body[0], "round"),
-            slot=_int(body[1], "slot"),
-            signed_requests=tuple(decode_value(v, _depth + 1) for v in body[2]),
-        )
-    if tag == "__iprep__":
-        _require(
-            isinstance(body, list) and len(body) == 3,
-            "__iprep__ needs [round, slot, digest]",
-        )
-        _require(isinstance(body[2], str), "__iprep__ digest must be a string")
-        return IbftPreparePayload(
-            round=_int(body[0], "round"),
-            slot=_int(body[1], "slot"),
-            request_digest=body[2],
-        )
-    if tag == "__icommit__":
-        _require(
-            isinstance(body, list) and len(body) == 3,
-            "__icommit__ needs [round, slot, digest]",
-        )
-        _require(isinstance(body[2], str), "__icommit__ digest must be a string")
-        return IbftCommitPayload(
-            round=_int(body[0], "round"),
-            slot=_int(body[1], "slot"),
-            request_digest=body[2],
-        )
-    if tag == "__icert__":
-        _require(
-            isinstance(body, list) and len(body) == 2,
-            "__icert__ needs [preprepare, commits]",
-        )
-        _require(isinstance(body[1], list), "__icert__ commits must be a list")
-        return IbftCommitCertificate(
-            preprepare=decode_value(body[0], _depth + 1),
-            commits=tuple(decode_value(v, _depth + 1) for v in body[1]),
-        )
-    if tag == "__irc__":
-        _require(
-            isinstance(body, list) and len(body) == 3,
-            "__irc__ needs [new_round, committed, prepared]",
-        )
-        _require(isinstance(body[1], list), "__irc__ committed must be a list")
-        _require(isinstance(body[2], list), "__irc__ prepared must be a list")
-        prepared = []
-        for pair in body[2]:
-            _require(
-                isinstance(pair, list) and len(pair) == 2,
-                "__irc__ prepared entries must be pairs",
-            )
-            prepared.append((_int(pair[0], "slot"), decode_value(pair[1], _depth + 1)))
-        return RoundChangePayload(
-            new_round=_int(body[0], "new_round"),
-            committed=tuple(decode_value(v, _depth + 1) for v in body[1]),
-            prepared=tuple(prepared),
-        )
-    if tag == "__inr__":
-        _require(
-            isinstance(body, list) and len(body) == 2,
-            "__inr__ needs [round, committed]",
-        )
-        _require(isinstance(body[1], list), "__inr__ committed must be a list")
-        return NewRoundPayload(
-            round=_int(body[0], "round"),
-            committed=tuple(decode_value(v, _depth + 1) for v in body[1]),
-        )
-    raise WireError(f"unknown wire tag {tag!r}")
-
-
-# ------------------------------------------------------------ V2 value codec
-# One byte of type tag, then a fixed or length-prefixed binary body.
-# Ints are zigzag-mapped then LEB128 varints (arbitrary precision, small
-# magnitudes stay small); containers carry an element count; sets are
-# encoded in sorted-by-encoding order so equal sets produce equal bytes.
-
-_T_NONE = 0x00
-_T_TRUE = 0x01
-_T_FALSE = 0x02
-_T_INT = 0x03
-_T_FLOAT = 0x04
-_T_STR = 0x05
-_T_BYTES = 0x06
-_T_TUPLE = 0x07
-_T_LIST = 0x08
-_T_SET = 0x09
-_T_FROZENSET = 0x0A
-_T_MAP = 0x0B
-_T_SIGNED = 0x0C
-_T_SIG = 0x0D
-_T_UPDATE = 0x0E
-_T_FOLLOWERS = 0x0F
-_T_DIGEST = 0x10
-_T_ROWS = 0x11
-_T_XREQUEST = 0x12
-_T_XPREPARE = 0x13
-_T_XCOMMIT = 0x14
-_T_XCERT = 0x15
-_T_XCKPT = 0x16
-_T_XCKPTCERT = 0x17
-_T_XVC = 0x18
-_T_XNV = 0x19
-_T_XREPLY = 0x1A
-_T_IPREPREPARE = 0x1B
-_T_IPREPARE = 0x1C
-_T_ICOMMIT = 0x1D
-_T_ICERT = 0x1E
-_T_IRC = 0x1F
-_T_INR = 0x20
-
-_F64 = struct.Struct(">d")
-
 #: V2 fixed frame header: magic byte, kind tag, source id (uint16).
 _HDR_V2 = struct.Struct(">BBH")
 
@@ -635,36 +127,6 @@ _HDR_V2 = struct.Struct(">BBH")
 _HDR_BATCH = struct.Struct(">BBHH")
 _MAC_BYTES = 32
 _FLAG_MAC = 0x01
-
-#: Hot protocol kinds get one-byte tags; anything else (tag 0) carries
-#: the kind string inline.  Append-only: ids are wire format.
-_KIND_IDS: Dict[str, int] = {
-    "heartbeat": 1,
-    "fd.ping": 2,
-    "fd.pong": 3,
-    "qs.update": 4,
-    "fs.followers": 5,
-    "qs.digest": 6,
-    "qs.rows": 7,
-    "xp.request": 8,
-    "xp.prepare": 9,
-    "xp.commit": 10,
-    "xp.reply": 11,
-    "xp.viewchange": 12,
-    "xp.newview": 13,
-    "xp.checkpoint": 14,
-    "ibft.preprepare": 15,
-    "ibft.prepare": 16,
-    "ibft.commit": 17,
-    "ibft.roundchange": 18,
-    "ibft.newround": 19,
-}
-_KIND_BY_ID = {tag: kind for kind, tag in _KIND_IDS.items()}
-
-#: Longest accepted varint (bytes).  Honest ints are a handful of bytes;
-#: the cap stops a hostile stream from making the decoder build huge
-#: bignums one 7-bit limb at a time.
-_MAX_VARINT_BYTES = 128
 
 # Preallocated encode scratch.  asyncio is single-threaded per loop and
 # the codec never re-enters itself, but the busy flag keeps a second
@@ -683,542 +145,6 @@ _ENCODE_MEMO: Dict[Tuple[str, int, int], Tuple[Any, bytes]] = {}
 # payloads so a shared decoded object can never be mutated by a receiver.
 _DECODE_MEMO: Dict[bytes, Tuple[str, Any, int]] = {}
 _MEMO_LIMIT = 8192
-
-
-def _write_uvarint(buf: bytearray, n: int) -> None:
-    while n > 0x7F:
-        buf.append((n & 0x7F) | 0x80)
-        n >>= 7
-    buf.append(n)
-
-
-def _write_int(buf: bytearray, n: int) -> None:
-    _write_uvarint(buf, (n << 1) if n >= 0 else ((-n << 1) - 1))
-
-
-def _read_uvarint(body, pos: int, end: int) -> Tuple[int, int]:
-    result = 0
-    shift = 0
-    start = pos
-    while True:
-        if pos >= end:
-            raise WireError("truncated varint")
-        byte = body[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-        if pos - start >= _MAX_VARINT_BYTES:
-            raise WireError("varint too long")
-
-
-def _read_int(body, pos: int, end: int) -> Tuple[int, int]:
-    unsigned, pos = _read_uvarint(body, pos, end)
-    return (unsigned >> 1) if not unsigned & 1 else -((unsigned + 1) >> 1), pos
-
-
-def _encode_value_v2(buf: bytearray, value: Any, depth: int) -> None:
-    if depth > MAX_DEPTH:
-        raise WireError(f"payload nesting exceeds {MAX_DEPTH}")
-    if value is None:
-        buf.append(_T_NONE)
-        return
-    if isinstance(value, bool):
-        buf.append(_T_TRUE if value else _T_FALSE)
-        return
-    if isinstance(value, int):
-        buf.append(_T_INT)
-        _write_int(buf, value)
-        return
-    if isinstance(value, float):
-        buf.append(_T_FLOAT)
-        buf += _F64.pack(value)
-        return
-    if isinstance(value, str):
-        encoded = value.encode("utf-8")
-        buf.append(_T_STR)
-        _write_uvarint(buf, len(encoded))
-        buf += encoded
-        return
-    if isinstance(value, bytes):
-        buf.append(_T_BYTES)
-        _write_uvarint(buf, len(value))
-        buf += value
-        return
-    if isinstance(value, (tuple, list)):
-        buf.append(_T_TUPLE if isinstance(value, tuple) else _T_LIST)
-        _write_uvarint(buf, len(value))
-        for item in value:
-            _encode_value_v2(buf, item, depth + 1)
-        return
-    if isinstance(value, (set, frozenset)):
-        parts = []
-        for item in value:
-            part = bytearray()
-            _encode_value_v2(part, item, depth + 1)
-            parts.append(bytes(part))
-        parts.sort()
-        buf.append(_T_FROZENSET if isinstance(value, frozenset) else _T_SET)
-        _write_uvarint(buf, len(parts))
-        for part in parts:
-            buf += part
-        return
-    if isinstance(value, dict):
-        buf.append(_T_MAP)
-        _write_uvarint(buf, len(value))
-        for key, item in value.items():
-            _encode_value_v2(buf, key, depth + 1)
-            _encode_value_v2(buf, item, depth + 1)
-        return
-    if isinstance(value, SignedMessage):
-        buf.append(_T_SIGNED)
-        _encode_value_v2(buf, value.payload, depth + 1)
-        _encode_value_v2(buf, value.signature, depth + 1)
-        return
-    if isinstance(value, Signature):
-        buf.append(_T_SIG)
-        _write_int(buf, _int(value.signer, "signer"))
-        _require(isinstance(value.tag, bytes), "signature tag must be bytes")
-        _write_uvarint(buf, len(value.tag))
-        buf += value.tag
-        return
-    if isinstance(value, UpdatePayload):
-        buf.append(_T_UPDATE)
-        _write_uvarint(buf, len(value.row))
-        for entry in value.row:
-            _write_int(buf, _int(entry, "__update__ row"))
-        return
-    if isinstance(value, FollowersPayload):
-        buf.append(_T_FOLLOWERS)
-        _write_uvarint(buf, len(value.followers))
-        for pid in value.followers:
-            _write_int(buf, _int(pid, "followers"))
-        _write_uvarint(buf, len(value.line_edges))
-        for edge in value.line_edges:
-            _require(len(edge) == 2, "line edges must be pairs")
-            _write_int(buf, _int(edge[0], "edge"))
-            _write_int(buf, _int(edge[1], "edge"))
-        _write_int(buf, _int(value.epoch, "epoch"))
-        return
-    if isinstance(value, MatrixDigestPayload):
-        buf.append(_T_DIGEST)
-        _write_int(buf, _int(value.epoch, "epoch"))
-        _write_uvarint(buf, len(value.row_digests))
-        for digest_hex in value.row_digests:
-            _require(isinstance(digest_hex, str), "row digests must be strings")
-            encoded = digest_hex.encode("utf-8")
-            _write_uvarint(buf, len(encoded))
-            buf += encoded
-        return
-    if isinstance(value, RowCertsPayload):
-        buf.append(_T_ROWS)
-        _write_uvarint(buf, len(value.certs))
-        for cert in value.certs:
-            _encode_value_v2(buf, cert, depth + 1)
-        return
-    if isinstance(value, ClientRequest):
-        buf.append(_T_XREQUEST)
-        _write_int(buf, _int(value.client, "client"))
-        _write_int(buf, _int(value.sequence, "sequence"))
-        _encode_value_v2(buf, value.op, depth + 1)
-        return
-    if isinstance(value, PreparePayload):
-        buf.append(_T_XPREPARE)
-        _write_int(buf, _int(value.view, "view"))
-        _write_int(buf, _int(value.slot, "slot"))
-        _write_uvarint(buf, len(value.signed_requests))
-        for sm in value.signed_requests:
-            _encode_value_v2(buf, sm, depth + 1)
-        return
-    if isinstance(value, CommitPayload):
-        buf.append(_T_XCOMMIT)
-        _write_int(buf, _int(value.view, "view"))
-        _write_int(buf, _int(value.slot, "slot"))
-        _encode_value_v2(buf, value.prepare, depth + 1)
-        return
-    if isinstance(value, CommitCertificate):
-        buf.append(_T_XCERT)
-        _encode_value_v2(buf, value.prepare, depth + 1)
-        _write_uvarint(buf, len(value.commits))
-        for commit in value.commits:
-            _encode_value_v2(buf, commit, depth + 1)
-        return
-    if isinstance(value, CheckpointPayload):
-        _require(isinstance(value.state_digest, str), "state digest must be a string")
-        buf.append(_T_XCKPT)
-        _write_int(buf, _int(value.view, "view"))
-        _write_int(buf, _int(value.slot_count, "slot_count"))
-        encoded = value.state_digest.encode("utf-8")
-        _write_uvarint(buf, len(encoded))
-        buf += encoded
-        return
-    if isinstance(value, CheckpointCertificate):
-        buf.append(_T_XCKPTCERT)
-        _write_uvarint(buf, len(value.votes))
-        for vote in value.votes:
-            _encode_value_v2(buf, vote, depth + 1)
-        return
-    if isinstance(value, ViewChangePayload):
-        buf.append(_T_XVC)
-        _write_int(buf, _int(value.new_view, "new_view"))
-        _write_uvarint(buf, len(value.committed))
-        for cert in value.committed:
-            _encode_value_v2(buf, cert, depth + 1)
-        _write_uvarint(buf, len(value.prepared))
-        for entry in value.prepared:
-            _require(
-                isinstance(entry, tuple) and len(entry) == 2,
-                "prepared entries must be (slot, prepare) pairs",
-            )
-            _write_int(buf, _int(entry[0], "slot"))
-            _encode_value_v2(buf, entry[1], depth + 1)
-        _encode_value_v2(buf, value.checkpoint, depth + 1)
-        _encode_value_v2(buf, value.snapshot, depth + 1)
-        return
-    if isinstance(value, NewViewPayload):
-        buf.append(_T_XNV)
-        _write_int(buf, _int(value.view, "view"))
-        _write_uvarint(buf, len(value.committed))
-        for cert in value.committed:
-            _encode_value_v2(buf, cert, depth + 1)
-        _encode_value_v2(buf, value.checkpoint, depth + 1)
-        _encode_value_v2(buf, value.snapshot, depth + 1)
-        return
-    if isinstance(value, ReplyPayload):
-        buf.append(_T_XREPLY)
-        _write_int(buf, _int(value.client, "client"))
-        _write_int(buf, _int(value.sequence, "sequence"))
-        _encode_value_v2(buf, value.result, depth + 1)
-        _write_int(buf, _int(value.replica, "replica"))
-        _write_int(buf, _int(value.view, "view"))
-        return
-    if isinstance(value, PrePreparePayload):
-        buf.append(_T_IPREPREPARE)
-        _write_int(buf, _int(value.round, "round"))
-        _write_int(buf, _int(value.slot, "slot"))
-        _write_uvarint(buf, len(value.signed_requests))
-        for sm in value.signed_requests:
-            _encode_value_v2(buf, sm, depth + 1)
-        return
-    if isinstance(value, (IbftPreparePayload, IbftCommitPayload)):
-        _require(isinstance(value.request_digest, str), "request digest must be a string")
-        buf.append(_T_IPREPARE if isinstance(value, IbftPreparePayload) else _T_ICOMMIT)
-        _write_int(buf, _int(value.round, "round"))
-        _write_int(buf, _int(value.slot, "slot"))
-        encoded = value.request_digest.encode("utf-8")
-        _write_uvarint(buf, len(encoded))
-        buf += encoded
-        return
-    if isinstance(value, IbftCommitCertificate):
-        buf.append(_T_ICERT)
-        _encode_value_v2(buf, value.preprepare, depth + 1)
-        _write_uvarint(buf, len(value.commits))
-        for commit in value.commits:
-            _encode_value_v2(buf, commit, depth + 1)
-        return
-    if isinstance(value, RoundChangePayload):
-        buf.append(_T_IRC)
-        _write_int(buf, _int(value.new_round, "new_round"))
-        _write_uvarint(buf, len(value.committed))
-        for cert in value.committed:
-            _encode_value_v2(buf, cert, depth + 1)
-        _write_uvarint(buf, len(value.prepared))
-        for entry in value.prepared:
-            _require(
-                isinstance(entry, tuple) and len(entry) == 2,
-                "prepared entries must be (slot, preprepare) pairs",
-            )
-            _write_int(buf, _int(entry[0], "slot"))
-            _encode_value_v2(buf, entry[1], depth + 1)
-        return
-    if isinstance(value, NewRoundPayload):
-        buf.append(_T_INR)
-        _write_int(buf, _int(value.round, "round"))
-        _write_uvarint(buf, len(value.committed))
-        for cert in value.committed:
-            _encode_value_v2(buf, cert, depth + 1)
-        return
-    raise WireError(f"cannot encode {type(value).__name__} for the wire")
-
-
-def _take(body, pos: int, end: int, n: int) -> Tuple[Any, int]:
-    new_pos = pos + n
-    if new_pos > end:
-        raise WireError("truncated value")
-    return body[pos:new_pos], new_pos
-
-
-def _read_str(body, pos: int, end: int) -> Tuple[str, int]:
-    n, pos = _read_uvarint(body, pos, end)
-    raw, pos = _take(body, pos, end, n)
-    try:
-        return bytes(raw).decode("utf-8"), pos
-    except UnicodeDecodeError as exc:
-        raise WireError("invalid UTF-8 string") from exc
-
-
-def _read_count(body, pos: int, end: int) -> Tuple[int, int]:
-    """A container element count, bounded by the bytes that remain."""
-    n, pos = _read_uvarint(body, pos, end)
-    if n > end - pos:
-        raise WireError("container count exceeds remaining bytes")
-    return n, pos
-
-
-def _decode_value_v2(body, pos: int, end: int, depth: int) -> Tuple[Any, int]:
-    if depth > MAX_DEPTH:
-        raise WireError(f"payload nesting exceeds {MAX_DEPTH}")
-    if pos >= end:
-        raise WireError("truncated value")
-    tag = body[pos]
-    pos += 1
-    if tag == _T_NONE:
-        return None, pos
-    if tag == _T_TRUE:
-        return True, pos
-    if tag == _T_FALSE:
-        return False, pos
-    if tag == _T_INT:
-        return _read_int(body, pos, end)
-    if tag == _T_FLOAT:
-        raw, pos = _take(body, pos, end, _F64.size)
-        return _F64.unpack(bytes(raw))[0], pos
-    if tag == _T_STR:
-        return _read_str(body, pos, end)
-    if tag == _T_BYTES:
-        n, pos = _read_uvarint(body, pos, end)
-        raw, pos = _take(body, pos, end, n)
-        return bytes(raw), pos
-    if tag in (_T_TUPLE, _T_LIST):
-        n, pos = _read_count(body, pos, end)
-        items = []
-        for _ in range(n):
-            item, pos = _decode_value_v2(body, pos, end, depth + 1)
-            items.append(item)
-        return (tuple(items) if tag == _T_TUPLE else items), pos
-    if tag in (_T_SET, _T_FROZENSET):
-        n, pos = _read_count(body, pos, end)
-        items = []
-        for _ in range(n):
-            item, pos = _decode_value_v2(body, pos, end, depth + 1)
-            items.append(item)
-        try:
-            return (frozenset(items) if tag == _T_FROZENSET else set(items)), pos
-        except TypeError as exc:
-            raise WireError("unhashable set member") from exc
-    if tag == _T_MAP:
-        n, pos = _read_count(body, pos, end)
-        out = {}
-        for _ in range(n):
-            key, pos = _decode_value_v2(body, pos, end, depth + 1)
-            item, pos = _decode_value_v2(body, pos, end, depth + 1)
-            try:
-                out[key] = item
-            except TypeError as exc:
-                raise WireError("unhashable map key") from exc
-        return out, pos
-    if tag == _T_SIGNED:
-        payload, pos = _decode_value_v2(body, pos, end, depth + 1)
-        signature, pos = _decode_value_v2(body, pos, end, depth + 1)
-        _require(isinstance(signature, Signature), "signed envelope needs a signature")
-        return SignedMessage(payload, signature), pos
-    if tag == _T_SIG:
-        signer, pos = _read_int(body, pos, end)
-        n, pos = _read_uvarint(body, pos, end)
-        raw, pos = _take(body, pos, end, n)
-        return Signature(signer=signer, tag=bytes(raw)), pos
-    if tag == _T_UPDATE:
-        n, pos = _read_count(body, pos, end)
-        row = []
-        for _ in range(n):
-            entry, pos = _read_int(body, pos, end)
-            row.append(entry)
-        return UpdatePayload(row=tuple(row)), pos
-    if tag == _T_FOLLOWERS:
-        n, pos = _read_count(body, pos, end)
-        followers = []
-        for _ in range(n):
-            pid, pos = _read_int(body, pos, end)
-            followers.append(pid)
-        n, pos = _read_count(body, pos, end)
-        edges = []
-        for _ in range(n):
-            a, pos = _read_int(body, pos, end)
-            b, pos = _read_int(body, pos, end)
-            edges.append((a, b))
-        epoch, pos = _read_int(body, pos, end)
-        return (
-            FollowersPayload(
-                followers=tuple(followers), line_edges=tuple(edges), epoch=epoch
-            ),
-            pos,
-        )
-    if tag == _T_DIGEST:
-        epoch, pos = _read_int(body, pos, end)
-        n, pos = _read_count(body, pos, end)
-        digests = []
-        for _ in range(n):
-            digest_hex, pos = _read_str(body, pos, end)
-            digests.append(digest_hex)
-        return MatrixDigestPayload(epoch=epoch, row_digests=tuple(digests)), pos
-    if tag == _T_ROWS:
-        n, pos = _read_count(body, pos, end)
-        certs = []
-        for _ in range(n):
-            cert, pos = _decode_value_v2(body, pos, end, depth + 1)
-            certs.append(cert)
-        return RowCertsPayload(certs=tuple(certs)), pos
-    if tag == _T_XREQUEST:
-        client, pos = _read_int(body, pos, end)
-        sequence, pos = _read_int(body, pos, end)
-        op, pos = _decode_value_v2(body, pos, end, depth + 1)
-        _require(isinstance(op, tuple), "request op must be a tuple")
-        return ClientRequest(client=client, sequence=sequence, op=op), pos
-    if tag == _T_XPREPARE:
-        view, pos = _read_int(body, pos, end)
-        slot, pos = _read_int(body, pos, end)
-        n, pos = _read_count(body, pos, end)
-        requests = []
-        for _ in range(n):
-            sm, pos = _decode_value_v2(body, pos, end, depth + 1)
-            requests.append(sm)
-        return PreparePayload(view=view, slot=slot, signed_requests=tuple(requests)), pos
-    if tag == _T_XCOMMIT:
-        view, pos = _read_int(body, pos, end)
-        slot, pos = _read_int(body, pos, end)
-        prepare, pos = _decode_value_v2(body, pos, end, depth + 1)
-        return CommitPayload(view=view, slot=slot, prepare=prepare), pos
-    if tag == _T_XCERT:
-        prepare, pos = _decode_value_v2(body, pos, end, depth + 1)
-        n, pos = _read_count(body, pos, end)
-        commits = []
-        for _ in range(n):
-            commit, pos = _decode_value_v2(body, pos, end, depth + 1)
-            commits.append(commit)
-        return CommitCertificate(prepare=prepare, commits=tuple(commits)), pos
-    if tag == _T_XCKPT:
-        view, pos = _read_int(body, pos, end)
-        slot_count, pos = _read_int(body, pos, end)
-        state_digest, pos = _read_str(body, pos, end)
-        return CheckpointPayload(view=view, slot_count=slot_count, state_digest=state_digest), pos
-    if tag == _T_XCKPTCERT:
-        n, pos = _read_count(body, pos, end)
-        votes = []
-        for _ in range(n):
-            vote, pos = _decode_value_v2(body, pos, end, depth + 1)
-            votes.append(vote)
-        return CheckpointCertificate(votes=tuple(votes)), pos
-    if tag == _T_XVC:
-        new_view, pos = _read_int(body, pos, end)
-        n, pos = _read_count(body, pos, end)
-        committed = []
-        for _ in range(n):
-            cert, pos = _decode_value_v2(body, pos, end, depth + 1)
-            committed.append(cert)
-        n, pos = _read_count(body, pos, end)
-        prepared = []
-        for _ in range(n):
-            slot, pos = _read_int(body, pos, end)
-            sm, pos = _decode_value_v2(body, pos, end, depth + 1)
-            prepared.append((slot, sm))
-        checkpoint, pos = _decode_value_v2(body, pos, end, depth + 1)
-        snapshot, pos = _decode_value_v2(body, pos, end, depth + 1)
-        _require(snapshot is None or isinstance(snapshot, tuple), "snapshot must be a tuple")
-        return (
-            ViewChangePayload(
-                new_view=new_view,
-                committed=tuple(committed),
-                prepared=tuple(prepared),
-                checkpoint=checkpoint,
-                snapshot=snapshot,
-            ),
-            pos,
-        )
-    if tag == _T_XNV:
-        view, pos = _read_int(body, pos, end)
-        n, pos = _read_count(body, pos, end)
-        committed = []
-        for _ in range(n):
-            cert, pos = _decode_value_v2(body, pos, end, depth + 1)
-            committed.append(cert)
-        checkpoint, pos = _decode_value_v2(body, pos, end, depth + 1)
-        snapshot, pos = _decode_value_v2(body, pos, end, depth + 1)
-        _require(snapshot is None or isinstance(snapshot, tuple), "snapshot must be a tuple")
-        return (
-            NewViewPayload(
-                view=view,
-                committed=tuple(committed),
-                checkpoint=checkpoint,
-                snapshot=snapshot,
-            ),
-            pos,
-        )
-    if tag == _T_XREPLY:
-        client, pos = _read_int(body, pos, end)
-        sequence, pos = _read_int(body, pos, end)
-        result, pos = _decode_value_v2(body, pos, end, depth + 1)
-        replica, pos = _read_int(body, pos, end)
-        view, pos = _read_int(body, pos, end)
-        return (
-            ReplyPayload(
-                client=client, sequence=sequence, result=result, replica=replica, view=view
-            ),
-            pos,
-        )
-    if tag == _T_IPREPREPARE:
-        round_, pos = _read_int(body, pos, end)
-        slot, pos = _read_int(body, pos, end)
-        n, pos = _read_count(body, pos, end)
-        requests = []
-        for _ in range(n):
-            sm, pos = _decode_value_v2(body, pos, end, depth + 1)
-            requests.append(sm)
-        return PrePreparePayload(round=round_, slot=slot, signed_requests=tuple(requests)), pos
-    if tag in (_T_IPREPARE, _T_ICOMMIT):
-        round_, pos = _read_int(body, pos, end)
-        slot, pos = _read_int(body, pos, end)
-        request_digest, pos = _read_str(body, pos, end)
-        cls = IbftPreparePayload if tag == _T_IPREPARE else IbftCommitPayload
-        return cls(round=round_, slot=slot, request_digest=request_digest), pos
-    if tag == _T_ICERT:
-        preprepare, pos = _decode_value_v2(body, pos, end, depth + 1)
-        n, pos = _read_count(body, pos, end)
-        commits = []
-        for _ in range(n):
-            commit, pos = _decode_value_v2(body, pos, end, depth + 1)
-            commits.append(commit)
-        return IbftCommitCertificate(preprepare=preprepare, commits=tuple(commits)), pos
-    if tag == _T_IRC:
-        new_round, pos = _read_int(body, pos, end)
-        n, pos = _read_count(body, pos, end)
-        committed = []
-        for _ in range(n):
-            cert, pos = _decode_value_v2(body, pos, end, depth + 1)
-            committed.append(cert)
-        n, pos = _read_count(body, pos, end)
-        prepared = []
-        for _ in range(n):
-            slot, pos = _read_int(body, pos, end)
-            sm, pos = _decode_value_v2(body, pos, end, depth + 1)
-            prepared.append((slot, sm))
-        return (
-            RoundChangePayload(
-                new_round=new_round,
-                committed=tuple(committed),
-                prepared=tuple(prepared),
-            ),
-            pos,
-        )
-    if tag == _T_INR:
-        round_, pos = _read_int(body, pos, end)
-        n, pos = _read_count(body, pos, end)
-        committed = []
-        for _ in range(n):
-            cert, pos = _decode_value_v2(body, pos, end, depth + 1)
-            committed.append(cert)
-        return NewRoundPayload(round=round_, committed=tuple(committed)), pos
-    raise WireError(f"unknown V2 type tag {tag:#x}")
 
 
 # -------------------------------------------------------------------- framing
@@ -1256,14 +182,14 @@ def _encode_frame_body_v2(kind: str, payload: Any, src: int) -> bytes:
         del buf[:]
         reuse = True
     try:
-        kind_tag = _KIND_IDS.get(kind, 0)
+        kind_tag = KIND_IDS.get(kind, 0)
         buf += _HDR_V2.pack(MAGIC_V2, kind_tag, src)
         if kind_tag == 0:
             encoded_kind = kind.encode("utf-8")
-            _write_uvarint(buf, len(encoded_kind))
+            write_uvarint(buf, len(encoded_kind))
             buf += encoded_kind
         try:
-            _encode_value_v2(buf, payload, 0)
+            encode_value_v2(buf, payload, 0)
         except WireError:
             raise
         except Exception as exc:
@@ -1337,18 +263,19 @@ def make_frame_encoder(src: int, version: int) -> Callable[[str, Any], bytes]:
 def _decode_frame_body_v1(body: bytes) -> Tuple[str, Any, int]:
     try:
         envelope = json.loads(bytes(body).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"frame is not valid JSON: {exc}") from exc
-    _require(isinstance(envelope, dict), "frame envelope must be an object")
-    _require(envelope.get("v") == WIRE_V1, "unsupported wire version")
-    kind = envelope.get("k")
-    _require(isinstance(kind, str) and bool(kind), "frame kind must be a non-empty string")
-    src = envelope.get("s")
-    _require(
-        isinstance(src, int) and not isinstance(src, bool) and src >= 1,
-        "frame src must be a 1-based process id",
-    )
-    return kind, decode_value(envelope.get("p")), src
+        if not isinstance(envelope, dict) or envelope.get("v") != WIRE_V1:
+            raise WireError("frame envelope must be an object with wire version 1")
+        kind = envelope.get("k")
+        if not isinstance(kind, str) or not kind:
+            raise WireError("frame kind must be a non-empty string")
+        src = envelope.get("s")
+        if not isinstance(src, int) or isinstance(src, bool) or src < 1:
+            raise WireError("frame src must be a 1-based process id")
+        return kind, decode_value(envelope.get("p")), src
+    except WireError:
+        raise
+    except Exception as exc:  # bad UTF-8/JSON, RecursionError on a bracket bomb: stay typed
+        raise WireError(f"malformed V1 frame: {exc!r}") from exc
 
 
 def _decode_frame_body_v2(body: bytes) -> Tuple[str, Any, int]:
@@ -1362,14 +289,14 @@ def _decode_frame_body_v2(body: bytes) -> Tuple[str, Any, int]:
             raise WireError("frame src must be a 1-based process id")
         pos = _HDR_V2.size
         if kind_tag == 0:
-            kind, pos = _read_str(body, pos, end)
+            kind, pos = read_str(body, pos, end)
             if not kind:
                 raise WireError("frame kind must be a non-empty string")
         else:
-            kind = _KIND_BY_ID.get(kind_tag)
+            kind = KIND_BY_ID.get(kind_tag)
             if kind is None:
                 raise WireError(f"unknown kind tag {kind_tag}")
-        payload, pos = _decode_value_v2(memoryview(body), pos, end, 0)
+        payload, pos = decode_value_v2(memoryview(body), pos, end, 0)
         if pos != end:
             raise WireError("trailing bytes after payload")
     except WireError:

@@ -15,6 +15,9 @@ from typing import Any, Optional, Tuple
 
 from repro.crypto.authenticator import SignedMessage
 from repro.crypto.digests import digest
+from repro.util.wire_schema import (
+    INT, STR, VALUE, pair, register_kind_ids, tuple_of, value, wire_message,
+)
 
 KIND_REQUEST = "xp.request"
 KIND_PREPARE = "xp.prepare"
@@ -23,8 +26,15 @@ KIND_VIEWCHANGE = "xp.viewchange"
 KIND_NEWVIEW = "xp.newview"
 KIND_REPLY = "xp.reply"
 KIND_CHECKPOINT = "xp.checkpoint"
+register_kind_ids({
+    KIND_REQUEST: 8, KIND_PREPARE: 9, KIND_COMMIT: 10, KIND_REPLY: 11,
+    KIND_VIEWCHANGE: 12, KIND_NEWVIEW: 13, KIND_CHECKPOINT: 14,
+})
+
+_SNAPSHOT = value(tuple, type(None))
 
 
+@wire_message(0x12, "__xreq__", client=INT, sequence=INT, op=value(tuple))
 @dataclass(frozen=True)
 class ClientRequest:
     """One client operation (op is a small tuple, e.g. ('put', k, v))."""
@@ -40,6 +50,7 @@ class ClientRequest:
         return (self.client, self.sequence)
 
 
+@wire_message(0x13, "__xprep__", view=INT, slot=INT, signed_requests=tuple_of(VALUE))
 @dataclass(frozen=True)
 class PreparePayload:
     """``PREPARE(view, slot, signed_requests)`` from the view's leader.
@@ -72,6 +83,7 @@ class PreparePayload:
         return digest(self.canonical())
 
 
+@wire_message(0x14, "__xcommit__", view=INT, slot=INT, prepare=VALUE)
 @dataclass(frozen=True)
 class CommitPayload:
     """``COMMIT(view, slot, prepare)`` — carries the signed PREPARE."""
@@ -92,6 +104,7 @@ class CommitPayload:
         return ("commit", self.view, self.slot, embedded)
 
 
+@wire_message(0x15, "__xcert__", prepare=VALUE, commits=tuple_of(VALUE))
 @dataclass(frozen=True)
 class CommitCertificate:
     """Proof that one request committed at one (view, slot).
@@ -169,6 +182,7 @@ def certificate_is_valid(
     return signers == quorum - {prepare.signer}
 
 
+@wire_message(0x16, "__xckpt__", view=INT, slot_count=INT, state_digest=STR)
 @dataclass(frozen=True)
 class CheckpointPayload:
     """One member's vote that the state at ``slot_count`` digests to
@@ -182,6 +196,7 @@ class CheckpointPayload:
         return ("checkpoint", self.view, self.slot_count, self.state_digest)
 
 
+@wire_message(0x17, "__xckptcert__", votes=tuple_of(VALUE))
 @dataclass(frozen=True)
 class CheckpointCertificate:
     """Signed CHECKPOINT votes from every member of one view's quorum.
@@ -227,6 +242,11 @@ def checkpoint_certificate_is_valid(
     return signers == quorum_of(reference.view)
 
 
+@wire_message(
+    0x18, "__xvc__",
+    new_view=INT, committed=tuple_of(VALUE), prepared=tuple_of(pair(INT, VALUE)),
+    checkpoint=VALUE, snapshot=_SNAPSHOT,
+)
 @dataclass(frozen=True)
 class ViewChangePayload:
     """``VIEW-CHANGE(new_view, committed, prepared)``.
@@ -261,6 +281,9 @@ class ViewChangePayload:
         )
 
 
+@wire_message(
+    0x19, "__xnv__", view=INT, committed=tuple_of(VALUE), checkpoint=VALUE, snapshot=_SNAPSHOT
+)
 @dataclass(frozen=True)
 class NewViewPayload:
     """``NEW-VIEW(view, committed)`` from the new leader (certified)."""
@@ -283,6 +306,9 @@ class NewViewPayload:
         )
 
 
+@wire_message(
+    0x1A, "__xreply__", client=INT, sequence=INT, result=VALUE, replica=INT, view=INT
+)
 @dataclass(frozen=True)
 class ReplyPayload:
     """Reply to a client: request id, result, and the executing replica."""

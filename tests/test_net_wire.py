@@ -128,6 +128,9 @@ class TestDecodeDefenses:
             {"__digest__": [0, [1]]},  # digests must be strings
             {"__signed__": [{"__update__": []}, {"__update__": []}]},  # sig slot
             {"__map__": [[1, 2, 3]]},  # map entries must be pairs
+            {"__set__": [{"__list__": [1]}]},  # unhashable set member
+            {"__frozenset__": [{"__list__": [1]}]},
+            {"__map__": [[{"__list__": [1]}, 2]]},  # unhashable map key
         ],
     )
     def test_garbage_raises(self, garbage):
@@ -184,6 +187,26 @@ class TestFraming:
     def test_bad_envelope_counted_as_malformed(self, body):
         decoder = FrameDecoder()
         assert decoder.feed(struct.pack(">I", len(body)) + body) == []
+        assert decoder.malformed == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param('{"__set__":[{"__list__":[1]}]}', id="unhashable-set-member"),
+            pytest.param('{"__frozenset__":[{"__list__":[1]}]}', id="unhashable-frozenset-member"),
+            pytest.param('{"__map__":[[{"__list__":[1]},2]]}', id="unhashable-map-key"),
+            # RecursionError inside json.loads, from a frame well under 1 MiB
+            pytest.param("[" * 100_000, id="bracket-bomb"),
+        ],
+    )
+    def test_untyped_decoder_failures_stay_typed_and_counted(self, payload):
+        """One hostile V1 frame must not kill the reader or eat its neighbours."""
+        body = ('{"v":1,"k":"x","s":2,"p":' + payload + "}").encode()
+        with pytest.raises(WireError):
+            decode_frame_body(body)
+        decoder = FrameDecoder()
+        data = self.frame(src=1) + struct.pack(">I", len(body)) + body + self.frame(src=3)
+        assert [f[2] for f in decoder.feed(data)] == [1, 3]
         assert decoder.malformed == 1
 
     def test_oversized_length_prefix_is_fatal(self):

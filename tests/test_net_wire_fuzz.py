@@ -21,6 +21,7 @@ Seeds come from ``REPRO_PROP_SEEDS`` (default ``3,7,11``); randomness is
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -36,6 +37,7 @@ from repro.crypto.keys import KeyRegistry
 from repro.net.wire import (
     KIND_ACK,
     KIND_HELLO,
+    MAX_DEPTH,
     WIRE_V1,
     WIRE_V2,
     WIRE_VERSIONS,
@@ -45,11 +47,15 @@ from repro.net.wire import (
     encode_ack,
     encode_frame,
     encode_hello,
+    encode_value,
+    frame_bytes,
     is_control_kind,
     negotiate_ack_version,
     parse_ack_version,
 )
 from repro.util.rand import DeterministicRng, make_rng
+from repro.util.wire_schema import SCHEMAS
+from wire_golden import assert_type_identical
 
 pytestmark = pytest.mark.props
 
@@ -126,28 +132,6 @@ def random_protocol_payload(rng: DeterministicRng):
             for _ in range(rng.randint(1, 2))
         )
     )
-
-
-def assert_type_identical(sent, received, path="payload"):
-    """Structural equality where every node's *type* must match exactly."""
-    assert type(sent) is type(received), (
-        f"{path}: {type(sent).__name__} came back as {type(received).__name__}"
-    )
-    if isinstance(sent, (tuple, list)):
-        assert len(sent) == len(received), path
-        for i, (a, b) in enumerate(zip(sent, received)):
-            assert_type_identical(a, b, f"{path}[{i}]")
-    elif isinstance(sent, dict):
-        assert set(sent) == set(received), path
-        for key in sent:
-            assert_type_identical(sent[key], received[key], f"{path}[{key!r}]")
-    elif isinstance(sent, SignedMessage):
-        assert sent.signature == received.signature, path
-        assert_type_identical(sent.payload, received.payload, f"{path}.payload")
-    elif isinstance(sent, RowCertsPayload):
-        assert_type_identical(sent.certs, received.certs, f"{path}.certs")
-    else:
-        assert sent == received, path
 
 
 def random_frames(rng: DeterministicRng, count: int, version: int = WIRE_V1):
@@ -249,6 +233,86 @@ def test_stream_decoder_survives_corrupt_streams(seed, version):
             pytest.fail(f"seed={seed}: stream loop leaked {type(exc).__name__}: {exc!r}")
         # Corruption can only lose frames, never mint valid ones.
         assert decoded <= len(frames)
+
+
+# ------------------------------------------------------- V1 structural fuzz
+# Byte mutations almost never survive ``json.loads``, so they exercise the
+# JSON parser, not the tag decoders behind it.  These trees are always
+# well-formed JSON and go wrong one level up: wrong arities, wrong scalar
+# types, unhashable set members and map keys, unknown tags, nesting past
+# MAX_DEPTH — grown from scratch or grafted into valid encoded payloads.
+
+_JSON_SCALARS = [None, True, False, 0, -1, 2 ** 70, 1.5, "", "ab", "zz"]
+_UNHASHABLE = [{"__list__": []}, {"__map__": []}, {"__set__": []}]
+_V1_TAGS = ["__bytes__", "__tuple__", "__list__", "__set__", "__frozenset__", "__map__",
+            "__nope__"] + sorted(schema.v1_tag for schema in SCHEMAS.values())
+
+
+def random_tag_tree(rng: DeterministicRng, depth: int = 0):
+    """Well-formed JSON shaped like V1 tagged values, rules broken at random."""
+    roll = rng.randint(0, 11)
+    if depth >= 5 or roll <= 2:
+        return rng.choice(_JSON_SCALARS)
+    if roll == 3:
+        return rng.choice(_UNHASHABLE)
+    children = [random_tag_tree(rng, depth + 1) for _ in range(rng.randint(0, 5))]
+    if roll == 4:
+        return children  # a bare array
+    if roll == 5:
+        return {f"k{i}": child for i, child in enumerate(children)}  # rarely one key
+    return {rng.choice(_V1_TAGS): children if roll <= 9 else random_tag_tree(rng, depth + 1)}
+
+
+def graft(rng: DeterministicRng, tree, scion):
+    """``tree`` with one random node replaced by ``scion``."""
+    if not isinstance(tree, (list, dict)) or not tree or rng.coin(0.15):
+        return scion
+    if isinstance(tree, list):
+        at = rng.randint(0, len(tree) - 1)
+        return tree[:at] + [graft(rng, tree[at], scion)] + tree[at + 1:]
+    key = rng.choice(sorted(tree))
+    return {**tree, key: graft(rng, tree[key], scion)}
+
+
+def structural_garbage(rng: DeterministicRng):
+    roll = rng.randint(0, 9)
+    if roll <= 3:
+        return random_tag_tree(rng)
+    if roll <= 7:  # a valid payload with one subtree swapped for garbage
+        return graft(rng, encode_value(random_value(rng.child("valid"))),
+                     random_tag_tree(rng.child("scion"), depth=2))
+    tree = random_tag_tree(rng, depth=3)
+    for _ in range(MAX_DEPTH + rng.randint(-1, 6)):
+        tree = {rng.choice(["__tuple__", "__list__", "__rows__"]): [tree]}
+    return tree
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_structural_v1_garbage_raises_only_wire_errors(seed):
+    rng = make_rng(seed).child("v1-structure")
+    accepted = rejected = 0
+    stream = bytearray()
+    for trial in range(400):
+        tree = structural_garbage(rng.child(trial))
+        body = json.dumps({"v": 1, "k": "k", "s": 1, "p": tree}).encode()
+        stream += frame_bytes(body)
+        try:
+            decode_frame_body(body)
+            accepted += 1
+        except WireError:
+            rejected += 1  # the typed, expected failure
+        except Exception as exc:  # noqa: BLE001 - the property under test
+            pytest.fail(f"seed={seed} trial={trial}: {type(exc).__name__} leaked: {tree!r}")
+    # The generator must land on both sides, or it proves nothing.
+    assert accepted > 20 and rejected > 200
+
+    # The same frames as one stream: nothing at all may escape ``feed``,
+    # and a bad frame costs exactly itself, never its neighbours.
+    decoder = FrameDecoder()
+    delivered = 0
+    for cursor in range(0, len(stream), 4096):
+        delivered += len(decoder.feed(bytes(stream[cursor:cursor + 4096])))
+    assert (delivered, decoder.malformed) == (accepted, rejected)
 
 
 # ------------------------------------------------------------- negotiation
@@ -361,9 +425,9 @@ def test_forged_garbage_rows_fail_typed_or_round_trip(seed, version):
             isinstance(value, int) and not isinstance(value, bool)
             for value in row
         )
-        # V2 validates rows while *encoding*, V1 while *decoding* — the
-        # typed WireError may fire at either boundary, but nothing else
-        # may, and only all-int rows make it through both.
+        # Rows are validated while encoding and again while decoding —
+        # the typed WireError may fire at either boundary, but nothing
+        # else may, and only all-int rows make it through both.
         try:
             frame = encode_frame("qs.update", signed, signer, version=version)
             _, decoded, _ = decode_frame_body(frame[4:])
