@@ -29,6 +29,7 @@ BFT proper.
 """
 
 from repro.ibft.messages import (
+    KIND_CHECKPOINT,
     KIND_COMMIT,
     KIND_NEWROUND,
     KIND_PREPARE,
@@ -37,9 +38,7 @@ from repro.ibft.messages import (
     IbftCommitCertificate,
     IbftCommitPayload,
     IbftPreparePayload,
-    NewRoundPayload,
     PrePreparePayload,
-    RoundChangePayload,
     ibft_certificate_is_valid,
 )
 from repro.ibft.replica import IbftReplica
@@ -50,12 +49,11 @@ __all__ = [
     "KIND_COMMIT",
     "KIND_ROUNDCHANGE",
     "KIND_NEWROUND",
+    "KIND_CHECKPOINT",
     "PrePreparePayload",
     "IbftPreparePayload",
     "IbftCommitPayload",
     "IbftCommitCertificate",
-    "RoundChangePayload",
-    "NewRoundPayload",
     "ibft_certificate_is_valid",
     "IbftReplica",
 ]

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
-from repro.ibft import replica as replica_mod
 from repro.ibft.messages import (
+    KIND_CHECKPOINT,
     KIND_COMMIT,
     KIND_NEWROUND,
     KIND_PREPARE,
@@ -13,58 +11,24 @@ from repro.ibft.messages import (
     KIND_ROUNDCHANGE,
 )
 from repro.ibft.replica import IbftReplica
-from repro.protocol.backend import ProtocolBackend, ReplicaStatus, register_backend
-from repro.protocol.policy import EnumerationPolicy, SelectionPolicy
+from repro.protocol.backend import ProtocolBackend, register_backend
 
 
 class IbftBackend(ProtocolBackend):
     """Istanbul-style 3-phase agreement in the active quorum."""
 
     name = "ibft"
-    decision_term = "round"
-    fd_group = replica_mod.FD_GROUP
+    decision_term = IbftReplica.term
+    fd_group = IbftReplica.fd_group
+    replica_class = IbftReplica
     replica_kinds = (
         KIND_PREPREPARE,
         KIND_PREPARE,
         KIND_COMMIT,
         KIND_ROUNDCHANGE,
         KIND_NEWROUND,
+        KIND_CHECKPOINT,
     )
-
-    def build_replica(
-        self,
-        host: Any,
-        n: int,
-        f: int,
-        qs_module: Optional[Any] = None,
-        *,
-        batch_size: int = 1,
-        batch_window: float = 0.0,
-        checkpoint_interval: Optional[int] = None,
-        state_machine: Optional[Any] = None,
-    ) -> IbftReplica:
-        policy = SelectionPolicy(n, f) if qs_module is not None else EnumerationPolicy(n, f)
-        return host.add_module(
-            IbftReplica(
-                host, n=n, f=f, policy=policy, qs_module=qs_module,
-                batch_size=batch_size, batch_window=batch_window,
-                checkpoint_interval=checkpoint_interval,
-                state_machine=state_machine,
-            )
-        )
-
-    def observe(self, replica: IbftReplica) -> ReplicaStatus:
-        return ReplicaStatus(
-            protocol=self.name,
-            decision_number=replica.round,
-            quorum=replica.quorum,
-            leader=replica.leader,
-            status=replica.status,
-            commits=replica.commits,
-            decision_changes=replica.round_changes,
-            executed=replica.executed_base + len(replica.executed),
-            checkpoints=replica.checkpoints_made,
-        )
 
     def analytic_messages_per_decision(self, quorum_size: int) -> int:
         # PRE-PREPARE to q-1 members, q-1 PREPARE broadcasts to q-1

@@ -10,7 +10,11 @@ the PRE-PREPARE from the leader instead.
 Client traffic reuses the protocol-neutral envelope from
 :mod:`repro.xpaxos.messages` (``xp.request``/``xp.reply`` with
 ``ClientRequest``/``ReplyPayload``), so the existing clients, service
-layer, and load generator drive either backend unchanged.
+layer, and load generator drive either backend unchanged.  State
+transfer and checkpoints are protocol-neutral too: ``ibft.roundchange``,
+``ibft.newround`` and ``ibft.checkpoint`` carry the same
+``ViewChangePayload`` / ``NewViewPayload`` / ``CheckpointPayload`` the
+shared replica core exchanges under XPaxos' kinds.
 """
 
 from __future__ import annotations
@@ -21,17 +25,19 @@ from typing import Any, Optional, Tuple
 from repro.crypto.authenticator import SignedMessage
 from repro.crypto.digests import digest
 from repro.util.wire_schema import (
-    INT, STR, VALUE, pair, register_kind_ids, tuple_of, wire_message,
+    INT, STR, VALUE, register_kind_ids, tuple_of, wire_message,
 )
-from repro.xpaxos.messages import ClientRequest
+from repro.xpaxos.messages import ClientRequest, is_client_request
 
 KIND_PREPREPARE = "ibft.preprepare"
 KIND_PREPARE = "ibft.prepare"
 KIND_COMMIT = "ibft.commit"
 KIND_ROUNDCHANGE = "ibft.roundchange"
 KIND_NEWROUND = "ibft.newround"
+KIND_CHECKPOINT = "ibft.checkpoint"
 register_kind_ids({
     KIND_PREPREPARE: 15, KIND_PREPARE: 16, KIND_COMMIT: 17, KIND_ROUNDCHANGE: 18, KIND_NEWROUND: 19,
+    KIND_CHECKPOINT: 20,
 })
 
 
@@ -39,9 +45,18 @@ def _enc(value: Any) -> Any:
     return value.canonical() if hasattr(value, "canonical") else value
 
 
+class _RoundNumbered:
+    """IBFT numbers decisions by ``round``; the shared replica core reads
+    every normal-case message's decision number as ``view``."""
+
+    @property
+    def view(self) -> int:
+        return self.round
+
+
 @wire_message(0x1B, "__ipp__", round=INT, slot=INT, signed_requests=tuple_of(VALUE))
 @dataclass(frozen=True)
-class PrePreparePayload:
+class PrePreparePayload(_RoundNumbered):
     """``PRE-PREPARE(round, slot, signed_requests)`` from the round's leader.
 
     ``signed_requests`` is a batch of client-signed request envelopes;
@@ -70,7 +85,7 @@ class PrePreparePayload:
 
 @wire_message(0x1C, "__iprep__", round=INT, slot=INT, request_digest=STR)
 @dataclass(frozen=True)
-class IbftPreparePayload:
+class IbftPreparePayload(_RoundNumbered):
     """``PREPARE(round, slot, digest)`` — a member's echo vote."""
 
     round: int
@@ -83,7 +98,7 @@ class IbftPreparePayload:
 
 @wire_message(0x1D, "__icommit__", round=INT, slot=INT, request_digest=STR)
 @dataclass(frozen=True)
-class IbftCommitPayload:
+class IbftCommitPayload(_RoundNumbered):
     """``COMMIT(round, slot, digest)`` — a member's commit vote."""
 
     round: int
@@ -109,6 +124,10 @@ class IbftCommitCertificate:
 
     preprepare: SignedMessage
     commits: Tuple[SignedMessage, ...]
+
+    @property
+    def requests(self) -> Tuple[ClientRequest, ...]:
+        return self.preprepare.payload.requests
 
     def canonical(self):
         return (
@@ -142,12 +161,8 @@ def ibft_certificate_is_valid(
         return False
     if not body.signed_requests:
         return False
-    for inner in body.signed_requests:
-        if not isinstance(inner, SignedMessage) or not verify(inner):
-            return False
-        request = inner.payload
-        if not isinstance(request, ClientRequest) or inner.signer != request.client:
-            return False
+    if not all(is_client_request(inner, verify) for inner in body.signed_requests):
+        return False
     quorum = quorum_of(body.round)
     if preprepare.signer != min(quorum):
         return False
@@ -167,54 +182,6 @@ def ibft_certificate_is_valid(
             return False
         signers.add(commit.signer)
     return signers == quorum - {preprepare.signer}
-
-
-@wire_message(
-    0x1F, "__irc__",
-    new_round=INT, committed=tuple_of(VALUE), prepared=tuple_of(pair(INT, VALUE)),
-)
-@dataclass(frozen=True)
-class RoundChangePayload:
-    """``ROUND-CHANGE(new_round, committed, prepared)``.
-
-    ``committed`` is the sender's certified execution history — one
-    :class:`IbftCommitCertificate` per committed slot, in order from
-    slot 0 (IBFT here carries no checkpoint layer; histories are
-    absolute).  ``prepared`` maps uncommitted slots to the signed
-    PRE-PREPAREs the sender accepted, so the new leader can re-propose
-    in-flight requests.
-    """
-
-    new_round: int
-    committed: Tuple[IbftCommitCertificate, ...]
-    prepared: Tuple[Tuple[int, SignedMessage], ...]
-
-    def canonical(self):
-        # Byzantine senders may put arbitrary values where certificates
-        # belong; the payload must still be signable so receivers can
-        # authenticate it and then reject the content.
-        return (
-            "ibft-round-change",
-            self.new_round,
-            tuple(_enc(cert) for cert in self.committed),
-            tuple((slot, _enc(sm)) for slot, sm in self.prepared),
-        )
-
-
-@wire_message(0x20, "__inr__", round=INT, committed=tuple_of(VALUE))
-@dataclass(frozen=True)
-class NewRoundPayload:
-    """``NEW-ROUND(round, committed)`` from the new leader (certified)."""
-
-    round: int
-    committed: Tuple[IbftCommitCertificate, ...]
-
-    def canonical(self):
-        return (
-            "ibft-new-round",
-            self.round,
-            tuple(_enc(cert) for cert in self.committed),
-        )
 
 
 def vote_is_wellformed(vote: Any, payload_type: type) -> Optional[Any]:

@@ -1,4 +1,4 @@
-"""The IBFT replica: 3-phase normal case, FD wiring, round changes.
+"""The IBFT vote phase (3-phase digest votes) on the shared replica core.
 
 Normal case in round ``r`` with active quorum ``Q`` and leader
 ``l = min(Q)``:
@@ -26,21 +26,19 @@ likewise; a vote overtaking its PRE-PREPARE cannot be adopted (votes
 carry only the digest) so the receiver parks it and expects the
 PRE-PREPARE from the leader.
 
-Round changes reuse the shared quorum policies: a ``<QUORUM, Q>`` event
-jumps to the smallest future round whose quorum is ``Q`` (selection
-mode), or suspicion advances to the next enumerated round (enumeration
-mode).  State transfer exchanges signed ``ROUND-CHANGE`` histories —
-one :class:`IbftCommitCertificate` per slot from slot 0; no checkpoint
-layer — merged by the new leader into a ``NEW-ROUND``.
+Everything else — intake, batching, execution, checkpoints, round
+changes (``ROUND-CHANGE``/``NEW-ROUND`` carry the shared state-transfer
+payloads under IBFT's kinds) — is :class:`ReplicaCore`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional
 
 from repro.crypto.authenticator import SignedMessage
 from repro.ibft.messages import (
+    KIND_CHECKPOINT,
     KIND_COMMIT,
     KIND_NEWROUND,
     KIND_PREPARE,
@@ -49,761 +47,138 @@ from repro.ibft.messages import (
     IbftCommitCertificate,
     IbftCommitPayload,
     IbftPreparePayload,
-    NewRoundPayload,
     PrePreparePayload,
-    RoundChangePayload,
     ibft_certificate_is_valid,
     vote_is_wellformed,
 )
-from repro.obs.observability import NULL_OBS, get_obs
-from repro.obs.spans import SPAN_VIEW_CHANGE
-from repro.protocol.policy import QuorumPolicy
-from repro.sim.process import Module, ProcessHost
-from repro.util.errors import ConfigurationError
+from repro.protocol.replica import ReplicaCore, SlotState
 from repro.util.ids import ProcessId
-from repro.xpaxos.messages import (
-    KIND_REPLY,
-    KIND_REQUEST,
-    ClientRequest,
-    ReplyPayload,
-)
-from repro.xpaxos.state_machine import KeyValueStore, StateMachine
-
-FD_GROUP = "ibft"
-
-STATUS_NORMAL = "normal"
-STATUS_ROUND_CHANGE = "round-change"
 
 
 @dataclass
-class RoundSlotState:
-    """Per-(round, slot) agreement state.
-
-    Votes are indexed by signer; digest matching happens at threshold
+class RoundSlotState(SlotState):
+    """Votes are indexed by signer; digest matching happens at threshold
     time (a vote may arrive before the PRE-PREPARE that defines the
-    digest, and a mismatching vote must simply never count).
-    """
+    digest, and a mismatching vote must simply never count)."""
 
-    preprepare: Optional[SignedMessage] = None
-    requests: Tuple[ClientRequest, ...] = ()
-    request_digest: str = ""
     prepare_votes: Dict[int, SignedMessage] = field(default_factory=dict)
     commit_votes: Dict[int, SignedMessage] = field(default_factory=dict)
     preprepare_expected: bool = False
-    own_prepare_sent: bool = False
-    own_commit_sent: bool = False
     prepared: bool = False
-    committed: bool = False
 
 
-class IbftReplica(Module):
+class IbftReplica(ReplicaCore):
     """One IBFT replica (process ids ``1..n`` are replicas)."""
 
-    def __init__(
-        self,
-        host: ProcessHost,
-        n: int,
-        f: int,
-        policy: QuorumPolicy,
-        qs_module: Optional[Any] = None,
-        batch_size: int = 1,
-        batch_window: float = 0.0,
-        checkpoint_interval: Optional[int] = None,
-        state_machine: Optional[StateMachine] = None,
-    ) -> None:
-        super().__init__(host)
-        if n != 2 * f + 1 and n <= 2 * f:
-            raise ConfigurationError(f"IBFT needs n >= 2f + 1; got n={n}, f={f}")
-        self.n = n
-        self.f = f
-        self.q = n - f
-        self.policy = policy
-        self.qs = qs_module
-        if batch_size < 1:
-            raise ConfigurationError(f"batch size must be >= 1, got {batch_size}")
-        if batch_window < 0:
-            raise ConfigurationError(f"batch window must be >= 0, got {batch_window}")
-        self.batch_size = batch_size
-        self.batch_window = batch_window
-        self._batch_timer_armed = False
-        # Interface-compat only: this backend keeps full histories (no
-        # log compaction); the parameter is accepted so world builders
-        # need no per-protocol branches.
-        self.checkpoint_interval = checkpoint_interval
-        self.checkpoints_made = 0
-        # --- round state ---
-        self.round = 0
-        self.status = STATUS_NORMAL
-        # --- log & execution state ---
-        self.slots: Dict[int, RoundSlotState] = {}
-        self.next_slot = 0
-        self.kv: StateMachine = state_machine if state_machine is not None else KeyValueStore()
-        self._apply_request = getattr(self.kv, "apply_request", None)
-        self.executed: List[ClientRequest] = []
-        self.executed_base = 0  # always 0: histories are absolute here
-        self.executed_certs: List[IbftCommitCertificate] = []
-        self._executed_ids: Set[Tuple[int, int]] = set()
-        self._reply_cache: Dict[Tuple[int, int], Any] = {}
-        self.pending: List[SignedMessage] = []  # leader queue of signed requests
-        self._queued_ids: Set[Tuple[int, int]] = set()
-        # --- round change bookkeeping ---
-        self._rc_received: Dict[int, Dict[int, RoundChangePayload]] = {}
-        self._newround_done_for: int = -1
-        # --- instrumentation ---
-        self.round_changes = 0
-        self.commits = 0
-        self.detected_events: List[Tuple[float, int, str]] = []
-        self._execution_cursor = 0
-        self._obs = NULL_OBS  # bound in start()
-
-    # ------------------------------------------------------------- lifecycle
+    prefix = "ibft"
+    term = "round"
+    fd_group = "ibft"
+    kind_proposal = KIND_PREPREPARE
+    kind_viewchange = KIND_ROUNDCHANGE
+    kind_newview = KIND_NEWROUND
+    kind_checkpoint = KIND_CHECKPOINT
+    proposal_type = PrePreparePayload
+    slot_state = RoundSlotState
+    certificate_is_valid = staticmethod(ibft_certificate_is_valid)
 
     def start(self) -> None:
-        self._obs = get_obs(self.host)
-        self._obs.add_collector(self._collect_metrics)
-        self.host.subscribe(KIND_REQUEST, self._on_request)
-        self.host.subscribe(KIND_PREPREPARE, self._on_preprepare)
+        super().start()
         self.host.subscribe(KIND_PREPARE, self._on_prepare)
         self.host.subscribe(KIND_COMMIT, self._on_commit)
-        self.host.subscribe(KIND_ROUNDCHANGE, self._on_roundchange)
-        self.host.subscribe(KIND_NEWROUND, self._on_newround)
-        if self.host.fd is not None:
-            self.host.fd.subscribe_suspected(self._on_suspected)
-        if self.qs is not None:
-            self.qs.add_quorum_listener(self._on_selected_quorum)
 
-    def _collect_metrics(self, registry) -> None:
-        """Snapshot-time collector for the replica's plain-int counters."""
-        pid = self.pid
-        registry.counter("ibft_commits_total", help="operations committed",
-                         pid=pid).set(self.commits)
-        registry.counter("ibft_round_changes_total", help="round changes completed",
-                         pid=pid).set(self.round_changes)
-        registry.gauge("ibft_round", help="current round", pid=pid).set(self.round)
-
-    # --------------------------------------------------------------- helpers
-
-    @property
-    def quorum(self) -> FrozenSet[int]:
-        return self.policy.quorum_of(self.round)
-
-    @property
-    def leader(self) -> ProcessId:
-        return self.policy.leader_of(self.round)
-
-    @property
-    def is_leader(self) -> bool:
-        return self.pid == self.leader
-
-    @property
-    def in_quorum(self) -> bool:
-        return self.pid in self.quorum
-
-    @property
-    def view(self) -> int:
-        """Protocol-neutral alias: IBFT's decision number is its round."""
-        return self.round
-
-    @property
-    def view_changes(self) -> int:
-        return self.round_changes
-
-    @property
-    def total_slots(self) -> int:
-        """Absolute number of committed slots (histories are absolute)."""
-        return len(self.executed_certs)
-
-    def _verify(self, message: SignedMessage) -> bool:
-        return self.host.authenticator.verify(message)
-
-    def _detect(self, culprit: ProcessId, reason: str) -> None:
-        self.detected_events.append((self.host.now, culprit, reason))
-        self.host.log.append(self.host.now, self.pid, "ibft.detected",
-                             target=culprit, reason=reason)
-        if self.host.fd is not None:
-            self.host.fd.detected(culprit)
-
-    # =================================================================
-    # Normal case
-    # =================================================================
-
-    def _on_request(self, kind: str, payload: Any, src: ProcessId) -> None:
-        if not isinstance(payload, SignedMessage):
-            return
-        if self.host.fd is None and not self._verify(payload):
-            return
-        request = payload.payload
-        if not isinstance(request, ClientRequest) or payload.signer != request.client:
-            return
-        rid = request.request_id()
-        if rid in self._reply_cache:
-            self._send_reply(request, self._reply_cache[rid])
-            return
-        if not self.is_leader or self.status != STATUS_NORMAL:
-            # Forward to whoever we currently believe leads (clients may
-            # address a stale leader or broadcast on retry).
-            if self.pid != self.leader and src == request.client:
-                self.host.send(self.leader, KIND_REQUEST, payload)
-            return
-        if rid in self._queued_ids:
-            return
-        self._queued_ids.add(rid)
-        self.pending.append(payload)
-        self._propose_pending()
-
-    def _propose_pending(self) -> None:
-        """Leader: assign slots to queued requests and send PRE-PREPAREs."""
-        if not self.is_leader or self.status != STATUS_NORMAL:
-            return
-        if self.batch_window > 0 and 0 < len(self.pending) < self.batch_size:
-            if not self._batch_timer_armed:
-                self._batch_timer_armed = True
-
-                def flush() -> None:
-                    self._batch_timer_armed = False
-                    self._propose_now()
-
-                self.host.set_timer(self.batch_window, flush, label="ibft-batch")
-            return
-        self._propose_now()
-
-    def _propose_now(self) -> None:
-        while self.pending:
-            batch: List[SignedMessage] = []
-            while self.pending and len(batch) < self.batch_size:
-                signed_request = self.pending.pop(0)
-                if signed_request.payload.request_id() in self._executed_ids:
-                    continue
-                batch.append(signed_request)
-            if not batch:
-                return
-            slot = self.next_slot
-            self.next_slot += 1
-            body = PrePreparePayload(
-                round=self.round, slot=slot, signed_requests=tuple(batch)
-            )
-            preprepare = self.host.authenticator.sign(body)
-            state = self._slot(slot)
-            state.preprepare = preprepare
-            state.requests = body.requests
-            state.request_digest = body.request_digest()
-            # The PRE-PREPARE is the leader's PREPARE and COMMIT in one.
-            state.own_prepare_sent = True
-            state.own_commit_sent = True
+    def _cast(self, kind: str, vote: Any, votes: Dict[int, SignedMessage]) -> None:
+        """Members vote; the leader's PRE-PREPARE is its vote in both phases."""
+        if not self.is_leader:
+            signed = self.host.authenticator.sign(vote)
+            votes[self.pid] = signed
             for member in sorted(self.quorum - {self.pid}):
-                self.host.send(member, KIND_PREPREPARE, preprepare)
-            self._expect_votes(slot, self.round, KIND_PREPARE,
-                               IbftPreparePayload, state.prepare_votes)
-            self._maybe_prepared(slot)
+                self.host.send(member, kind, signed)
 
-    def _slot(self, slot: int) -> RoundSlotState:
-        return self.slots.setdefault(slot, RoundSlotState())
-
-    def _expect_votes(
-        self,
-        slot: int,
-        round_: int,
-        vote_kind: str,
-        payload_type: type,
-        arrived: Dict[int, SignedMessage],
-    ) -> None:
-        """Section V-A: expect a vote from every other non-leader member.
-
-        Subtlety #1 carries over from XPaxos: no expectation for members
-        whose vote for this slot already arrived.
-        """
-        if self.host.fd is None:
-            return
-        for member in sorted(self.quorum):
-            if member in (self.pid, self.leader):
-                continue
-            if member in arrived:
-                continue
-
-            def match(kind: str, payload: Any,
-                      member=member, round_=round_, slot=slot,
-                      vote_kind=vote_kind, payload_type=payload_type) -> bool:
-                return (
-                    kind == vote_kind
-                    and isinstance(payload, SignedMessage)
-                    and payload.signer == member
-                    and isinstance(payload.payload, payload_type)
-                    and payload.payload.round == round_
-                    and payload.payload.slot == slot
-                )
-
-            self.host.fd.expect(
-                source=member,
-                predicate=match,
-                group=FD_GROUP,
-                label=f"{vote_kind}<-p{member}@r{round_}s{slot}",
-            )
-
-    def _expect_preprepare(self, slot: int, round_: int) -> None:
-        """A vote overtook the PRE-PREPARE — expect it from the leader."""
-        if self.host.fd is None:
-            return
-        leader = self.leader
-
-        def match(kind: str, payload: Any) -> bool:
-            return (
-                kind == KIND_PREPREPARE
-                and isinstance(payload, SignedMessage)
-                and payload.signer == leader
-                and isinstance(payload.payload, PrePreparePayload)
-                and payload.payload.round == round_
-                and payload.payload.slot == slot
-            )
-
-        self.host.fd.expect(
-            source=leader,
-            predicate=match,
-            group=FD_GROUP,
-            label=f"preprepare<-p{leader}@r{round_}s{slot}",
+    def _proposal_accepted(self, state: RoundSlotState, body: PrePreparePayload) -> None:
+        self._cast(
+            KIND_PREPARE,
+            IbftPreparePayload(body.round, body.slot, state.request_digest),
+            state.prepare_votes,
         )
-
-    def _on_preprepare(self, kind: str, payload: Any, src: ProcessId) -> None:
-        if not isinstance(payload, SignedMessage):
-            return
-        if self.host.fd is None and not self._verify(payload):
-            return
-        body = payload.payload
-        if not isinstance(body, PrePreparePayload):
-            return
-        if body.round != self.round or self.status != STATUS_NORMAL or not self.in_quorum:
-            return
-        if payload.signer != self.leader:
-            return
-        self._accept_preprepare(payload, body)
-
-    def _accept_preprepare(self, preprepare: SignedMessage, body: PrePreparePayload) -> None:
-        state = self._slot(body.slot)
-        incoming_digest = body.request_digest()
-        if state.preprepare is not None:
-            if state.request_digest != incoming_digest:
-                # Two leader-signed PRE-PREPAREs for one (round, slot):
-                # equivocation, provable from the two signatures.
-                self._detect(self.leader, "preprepare-equivocation")
-            return
-        # A leader cannot invent operations: the PRE-PREPARE must embed
-        # requests correctly signed by the claimed clients.
-        if not body.signed_requests:
-            self._detect(preprepare.signer, "empty-batch")
-            return
-        for inner in body.signed_requests:
-            if (
-                not isinstance(inner, SignedMessage)
-                or not self._verify(inner)
-                or not isinstance(inner.payload, ClientRequest)
-                or inner.signer != inner.payload.client
-            ):
-                self._detect(preprepare.signer, "forged-client-request")
-                return
-        state.preprepare = preprepare
-        state.requests = body.requests
-        state.request_digest = incoming_digest
-        if not state.own_prepare_sent:
-            state.own_prepare_sent = True
-            vote = self.host.authenticator.sign(
-                IbftPreparePayload(
-                    round=body.round, slot=body.slot,
-                    request_digest=incoming_digest,
-                )
-            )
-            state.prepare_votes[self.pid] = vote
-            for member in sorted(self.quorum - {self.pid}):
-                self.host.send(member, KIND_PREPARE, vote)
-        self._expect_votes(body.slot, body.round, KIND_PREPARE,
-                           IbftPreparePayload, state.prepare_votes)
+        self._expect_votes(
+            KIND_PREPARE, IbftPreparePayload, body.round, body.slot, state.prepare_votes
+        )
         self._maybe_prepared(body.slot)
 
-    def _on_prepare(self, kind: str, payload: Any, src: ProcessId) -> None:
-        if self.host.fd is None and isinstance(payload, SignedMessage) \
-                and not self._verify(payload):
-            return
-        body = vote_is_wellformed(payload, IbftPreparePayload)
-        if body is None:
-            return
-        if body.round != self.round or self.status != STATUS_NORMAL or not self.in_quorum:
-            return
-        sender = payload.signer
-        # The leader never votes PREPARE: its PRE-PREPARE is the vote.
-        if sender not in self.quorum or sender == self.leader:
-            return
+    def _voted_slot(self, payload: Any, vote_type: type) -> Optional[RoundSlotState]:
+        """The slot a well-formed member vote of this round is for, else ``None``."""
+        body = vote_is_wellformed(payload, vote_type)
+        if body is None or (self.host.fd is None and not self._verify(payload)):
+            return None
+        # The leader never votes: its PRE-PREPARE is the vote.
+        if (
+            not self._is_current(body)
+            or payload.signer not in self.quorum
+            or payload.signer == self.leader
+        ):
+            return None
         state = self._slot(body.slot)
-        state.prepare_votes.setdefault(sender, payload)
-        if state.preprepare is None and not state.preprepare_expected:
+        if state.proposal is None and not state.preprepare_expected:
             # The vote overtook the leader's PRE-PREPARE: nothing to
             # adopt (votes carry only the digest) — expect the original.
             state.preprepare_expected = True
-            self._expect_preprepare(body.slot, body.round)
-        self._maybe_prepared(body.slot)
+            self._expect(self.leader, KIND_PREPREPARE, PrePreparePayload,
+                         body.round, body.slot)
+        return state
 
-    def _matching_votes(
-        self, votes: Dict[int, SignedMessage], state: RoundSlotState
-    ) -> Set[int]:
-        return {
-            member
-            for member, vote in votes.items()
-            if member in self.quorum
-            and (member == self.pid
-                 or vote.payload.request_digest == state.request_digest)
-        }
+    def _on_prepare(self, kind: str, payload: Any, src: ProcessId) -> None:
+        state = self._voted_slot(payload, IbftPreparePayload)
+        if state is not None:
+            state.prepare_votes.setdefault(payload.signer, payload)
+            self._maybe_prepared(payload.payload.slot)
+
+    def _on_commit(self, kind: str, payload: Any, src: ProcessId) -> None:
+        state = self._voted_slot(payload, IbftCommitPayload)
+        if state is not None:
+            state.commit_votes.setdefault(payload.signer, payload)
+            self._maybe_commit(payload.payload.slot)
+
+    def _all_voted(self, votes: Dict[int, SignedMessage], state: RoundSlotState) -> bool:
+        """Every non-leader member's vote is in and matches the digest."""
+        return all(
+            member in votes and (
+                member == self.pid
+                or votes[member].payload.request_digest == state.request_digest
+            )
+            for member in self.quorum - {self.leader}
+        )
 
     def _maybe_prepared(self, slot: int) -> None:
         state = self._slot(slot)
-        if state.prepared or state.preprepare is None or not state.own_prepare_sent:
+        if state.prepared or state.proposal is None:
             return
-        needed = self.quorum - {self.leader}
-        if needed - self._matching_votes(state.prepare_votes, state):
+        if not self._all_voted(state.prepare_votes, state):
             return
         state.prepared = True
-        if not state.own_commit_sent:
-            state.own_commit_sent = True
-            vote = self.host.authenticator.sign(
-                IbftCommitPayload(
-                    round=self.round, slot=slot,
-                    request_digest=state.request_digest,
-                )
-            )
-            state.commit_votes[self.pid] = vote
-            for member in sorted(self.quorum - {self.pid}):
-                self.host.send(member, KIND_COMMIT, vote)
-        self._expect_votes(slot, self.round, KIND_COMMIT,
-                           IbftCommitPayload, state.commit_votes)
+        self._cast(
+            KIND_COMMIT,
+            IbftCommitPayload(self.view, slot, state.request_digest),
+            state.commit_votes,
+        )
+        self._expect_votes(
+            KIND_COMMIT, IbftCommitPayload, self.view, slot, state.commit_votes
+        )
         self._maybe_commit(slot)
-
-    def _on_commit(self, kind: str, payload: Any, src: ProcessId) -> None:
-        if self.host.fd is None and isinstance(payload, SignedMessage) \
-                and not self._verify(payload):
-            return
-        body = vote_is_wellformed(payload, IbftCommitPayload)
-        if body is None:
-            return
-        if body.round != self.round or self.status != STATUS_NORMAL or not self.in_quorum:
-            return
-        sender = payload.signer
-        if sender not in self.quorum or sender == self.leader:
-            return
-        state = self._slot(body.slot)
-        state.commit_votes.setdefault(sender, payload)
-        if state.preprepare is None and not state.preprepare_expected:
-            state.preprepare_expected = True
-            self._expect_preprepare(body.slot, body.round)
-        self._maybe_commit(body.slot)
 
     def _maybe_commit(self, slot: int) -> None:
         state = self._slot(slot)
-        if state.committed or not state.prepared or not state.own_commit_sent:
+        if state.committed or not state.prepared:
             return
-        if not state.requests:
-            return
-        needed = self.quorum - {self.leader}
-        if needed - self._matching_votes(state.commit_votes, state):
-            return
-        state.committed = True
-        self.commits += 1
-        self.host.log.append(
-            self.host.now, self.pid, "ibft.commit",
-            round=self.round, slot=slot,
-            requests=tuple(r.request_id() for r in state.requests),
-        )
-        self._execute_ready()
+        if self._all_voted(state.commit_votes, state):
+            self._decide(slot, state)
 
     def _certificate_for(self, state: RoundSlotState) -> IbftCommitCertificate:
-        """Assemble the commit certificate for a just-committed slot.
-
-        Commit votes come from every non-leader member (the replica's own
-        vote is recorded when sent); the leader's commitment is the
-        PRE-PREPARE itself.
-        """
+        """Commit votes come from every non-leader member (the replica's
+        own vote is recorded when sent); the leader's commitment is the
+        PRE-PREPARE itself."""
         commits = tuple(
             state.commit_votes[member]
             for member in sorted(state.commit_votes)
             if member in self.quorum and member != self.leader
         )
-        return IbftCommitCertificate(preprepare=state.preprepare, commits=commits)
-
-    def _execute_ready(self) -> None:
-        """Execute the contiguous committed prefix, replying per request."""
-        while True:
-            slot = self._execution_cursor
-            state = self.slots.get(slot)
-            if state is None or not state.committed or not state.requests:
-                return
-            self._apply_batch(state.requests, self._certificate_for(state))
-            self._execution_cursor = slot + 1
-
-    def _apply_batch(self, requests, certificate: IbftCommitCertificate) -> None:
-        for request in requests:
-            self._execute_one(request)
-        self.executed_certs.append(certificate)
-
-    def _execute_one(self, request: ClientRequest) -> None:
-        rid = request.request_id()
-        if rid in self._executed_ids:
-            result = self._reply_cache.get(rid)
-        else:
-            # Service state machines dedup per client (at-most-once) and
-            # need the request id; plain ones only see the operation.
-            if self._apply_request is not None:
-                result = self._apply_request(request.client, request.sequence, request.op)
-            else:
-                result = self.kv.apply(request.op)
-            self.executed.append(request)
-            self._executed_ids.add(rid)
-            self._reply_cache[rid] = result
-            self.host.log.append(
-                self.host.now, self.pid, "ibft.execute",
-                request=rid, total=len(self.executed),
-            )
-        self._send_reply(request, result)
-
-    def _send_reply(self, request: ClientRequest, result: Any) -> None:
-        reply = self.host.authenticator.sign(
-            ReplyPayload(
-                client=request.client,
-                sequence=request.sequence,
-                result=result,
-                replica=self.pid,
-                view=self.round,  # clients learn the decision number
-            )
-        )
-        self.host.send(request.client, KIND_REPLY, reply)
-
-    # =================================================================
-    # Round changes
-    # =================================================================
-
-    def _on_suspected(self, suspected: FrozenSet[int]) -> None:
-        target = self.policy.next_view_on_suspicion(self.round, suspected)
-        if target is not None and target > self.round:
-            self._start_round_change(target)
-
-    def _on_selected_quorum(self, event: Any) -> None:
-        target = self.policy.view_for_selected_quorum(event.quorum, self.round)
-        if target is not None and target > self.round:
-            self._start_round_change(target)
-
-    def _acceptable_round(self, target: int) -> bool:
-        """Whether to join a round change announced by a peer."""
-        if target <= self.round:
-            return False
-        if self.qs is not None:
-            # Selection mode: only rounds matching the QS module's verdict.
-            return self.policy.quorum_of(target) == self.qs.current_quorum
-        return True
-
-    def _start_round_change(self, target: int) -> None:
-        self.round = target
-        self.status = STATUS_ROUND_CHANGE
-        self.round_changes += 1
-        # Report prepared-but-uncommitted entries *before* clearing the
-        # per-round log, so the new leader can re-propose them.
-        prepared = self._prepared_entries()
-        self.slots = {}
-        self.next_slot = self.total_slots
-        self._execution_cursor = self.total_slots
-        # Requests that were assigned round-local slots but not committed
-        # must become acceptable again (clients retransmit them).
-        self._queued_ids = {
-            signed.payload.request_id() for signed in self.pending
-        }
-        self.host.log.append(
-            self.host.now, self.pid, "ibft.roundchange",
-            round=target, quorum=tuple(sorted(self.policy.quorum_of(target))),
-        )
-        self._obs.span(SPAN_VIEW_CHANGE, self.pid, self.host.now,
-                       view=target, protocol="ibft")
-        if self.host.fd is not None:
-            # During a round change processes legitimately stop sending
-            # expected normal-case messages (Section V-B).
-            self.host.fd.cancel(group=FD_GROUP)
-        rc_body = RoundChangePayload(
-            new_round=target,
-            committed=tuple(self.executed_certs),
-            prepared=prepared,
-        )
-        signed = self.host.authenticator.sign(rc_body)
-        for replica in range(1, self.n + 1):
-            if replica != self.pid:
-                self.host.send(replica, KIND_ROUNDCHANGE, signed)
-        self._record_roundchange(self.pid, rc_body)
-        if not self.is_leader and self.pid in self.quorum:
-            self._expect_newround(target)
-
-    def _prepared_entries(self) -> Tuple[Tuple[int, SignedMessage], ...]:
-        entries = []
-        for slot in sorted(self.slots):
-            state = self.slots[slot]
-            if state.preprepare is not None and not state.committed:
-                entries.append((slot, state.preprepare))
-        return tuple(entries)
-
-    def _expect_newround(self, round_: int) -> None:
-        if self.host.fd is None:
-            return
-        leader = self.policy.leader_of(round_)
-
-        def match(kind: str, payload: Any) -> bool:
-            return (
-                kind == KIND_NEWROUND
-                and isinstance(payload, SignedMessage)
-                and payload.signer == leader
-                and isinstance(payload.payload, NewRoundPayload)
-                and payload.payload.round == round_
-            )
-
-        self.host.fd.expect(
-            source=leader, predicate=match, group=FD_GROUP,
-            label=f"newround<-p{leader}@r{round_}",
-        )
-
-    def _on_roundchange(self, kind: str, payload: Any, src: ProcessId) -> None:
-        if not isinstance(payload, SignedMessage):
-            return
-        if self.host.fd is None and not self._verify(payload):
-            return
-        body = payload.payload
-        if not isinstance(body, RoundChangePayload):
-            return
-        sender = payload.signer
-        if body.new_round > self.round and self._acceptable_round(body.new_round):
-            self._start_round_change(body.new_round)
-        self._record_roundchange(sender, body)
-
-    def _record_roundchange(self, sender: ProcessId, body: RoundChangePayload) -> None:
-        bucket = self._rc_received.setdefault(body.new_round, {})
-        bucket.setdefault(sender, body)
-        self._maybe_finish_round_change()
-
-    def _maybe_finish_round_change(self) -> None:
-        """New leader: once every quorum member reported, emit NEW-ROUND."""
-        if self.status != STATUS_ROUND_CHANGE or not self.is_leader:
-            return
-        if self._newround_done_for >= self.round:
-            return
-        bucket = self._rc_received.get(self.round, {})
-        if not all(member in bucket for member in self.quorum):
-            return
-        self._newround_done_for = self.round
-        # Pick the longest *certified* history: every entry must verify,
-        # so a Byzantine member cannot smuggle fabricated requests in.
-        best: Tuple[IbftCommitCertificate, ...] = ()
-        best_length = -1
-        for rc in bucket.values():
-            length = self._history_flat_length(rc.committed)
-            if length is not None and length > best_length:
-                best_length = length
-                best = rc.committed
-        newround = self.host.authenticator.sign(
-            NewRoundPayload(round=self.round, committed=best)
-        )
-        for member in sorted(self.quorum - {self.pid}):
-            self.host.send(member, KIND_NEWROUND, newround)
-        self._install_history(best)
-        self.status = STATUS_NORMAL
-        self.host.log.append(self.host.now, self.pid, "ibft.newround", round=self.round)
-        # Re-propose uncommitted prepared requests reported by members.
-        reproposals: Dict[Tuple[int, int], SignedMessage] = {}
-        for rc in bucket.values():
-            for _, preprepare in rc.prepared:
-                if not isinstance(preprepare, SignedMessage) or not self._verify(preprepare):
-                    continue
-                inner = preprepare.payload
-                if not isinstance(inner, PrePreparePayload):
-                    continue
-                for signed_request in inner.signed_requests:
-                    if (
-                        not isinstance(signed_request, SignedMessage)
-                        or not self._verify(signed_request)
-                        or not isinstance(signed_request.payload, ClientRequest)
-                        or signed_request.signer != signed_request.payload.client
-                    ):
-                        continue
-                    rid = signed_request.payload.request_id()
-                    if rid not in self._executed_ids and rid not in self._queued_ids:
-                        reproposals[rid] = signed_request
-        for rid, signed_request in sorted(reproposals.items()):
-            # The request keeps its original client signature.
-            self._queued_ids.add(rid)
-            self.pending.append(signed_request)
-        self._propose_pending()
-
-    def _on_newround(self, kind: str, payload: Any, src: ProcessId) -> None:
-        if not isinstance(payload, SignedMessage):
-            return
-        if self.host.fd is None and not self._verify(payload):
-            return
-        body = payload.payload
-        if not isinstance(body, NewRoundPayload):
-            return
-        if body.round != self.round or payload.signer != self.leader:
-            return
-        if self.status != STATUS_ROUND_CHANGE:
-            return
-        if self._history_flat_length(body.committed) is None:
-            # The leader signed a NEW-ROUND with an uncertified history:
-            # provable misbehaviour.
-            self._detect(payload.signer, "invalid-newround-certificates")
-            return
-        self._install_history(body.committed)
-        self.status = STATUS_NORMAL
-        self.host.log.append(self.host.now, self.pid, "ibft.newround", round=self.round)
-
-    def _history_flat_length(self, committed: Tuple[Any, ...]) -> Optional[int]:
-        """Validate an absolute certified history; return its flat length.
-
-        ``None`` means invalid: any entry without a valid commit
-        certificate for its absolute slot.
-        """
-        total = 0
-        for index, cert in enumerate(committed):
-            if not ibft_certificate_is_valid(
-                cert, index, self.policy.quorum_of, self._verify
-            ):
-                return None
-            total += len(cert.preprepare.payload.requests)
-        return total
-
-    def _install_history(self, committed: Tuple[IbftCommitCertificate, ...]) -> None:
-        """Adopt the merged certified history (longest-prefix semantics).
-
-        ``committed`` holds one certificate per absolute *slot* (batch)
-        from slot 0; correct histories are batch-aligned, so comparison
-        happens on the flattened request sequence (request counts in
-        service mode, where the state machine's at-most-once table
-        deduplicates replay).
-        """
-
-        def requests_of(cert: IbftCommitCertificate):
-            return cert.preprepare.payload.requests
-
-        if self._apply_request is not None:
-            theirs_len = sum(len(requests_of(cert)) for cert in committed)
-            if theirs_len > len(self.executed):
-                for index, cert in enumerate(committed):
-                    if index < self.total_slots:
-                        continue
-                    self._apply_batch(requests_of(cert), cert)
-            self.next_slot = self.total_slots
-            self._execution_cursor = self.total_slots
-            return
-        mine = tuple(request.canonical() for request in self.executed)
-        theirs = tuple(
-            request.canonical() for cert in committed for request in requests_of(cert)
-        )
-        if len(theirs) <= len(mine):
-            if theirs != mine[: len(theirs)]:
-                self.host.log.append(self.host.now, self.pid, "ibft.divergence")
-            self.next_slot = self.total_slots
-            self._execution_cursor = self.total_slots
-            return
-        if theirs[: len(mine)] != mine:
-            self.host.log.append(self.host.now, self.pid, "ibft.divergence")
-        for index, cert in enumerate(committed):
-            if index < self.total_slots:
-                continue
-            self._apply_batch(requests_of(cert), cert)
-        self.next_slot = self.total_slots
-        self._execution_cursor = self.total_slots
+        return IbftCommitCertificate(preprepare=state.proposal, commits=commits)

@@ -75,7 +75,9 @@ class NetHost:
         self.fd: Optional[Any] = None  # duck-typed FailureDetector
         self._subscribers: Dict[str, List[DeliveryHandler]] = {}
         self._modules: List[Any] = []
-        self._timers: List[TimerHandle] = []
+        #: Pending timers only (insertion-ordered): a handle leaves when it
+        #: fires or is cancelled.
+        self._timers: Dict[TimerHandle, None] = {}
         # Ingress drops while crashed (a crashed process reads nothing).
         self.frames_ignored_crashed = 0
         manager.ingress = self.ingress
@@ -184,8 +186,7 @@ class NetHost:
             action()
 
         event = self.timers.schedule(delay, fire, label=label or "timer")
-        handle = TimerHandle(event)
-        self._timers.append(handle)
+        handle = TimerHandle(event, self._timers)
         return handle
 
     # ------------------------------------------------------------------ crash
@@ -199,9 +200,8 @@ class NetHost:
         cluster harness exercises in ``process`` kill mode).
         """
         self.running = False
-        for timer in self._timers:
+        for timer in list(self._timers):
             timer.cancel()
-        self._timers.clear()
         self.log.append(self.now, self.pid, "crash")
         self.obs.fault_injected(self.pid, self.now)
 

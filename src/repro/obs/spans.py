@@ -33,7 +33,7 @@ SPAN_EXPECTATION = "fd.expectation"
 SPAN_DETECTION = "fd.detection"
 #: A host crashed or recovered (attrs: ``what`` — ``crash``/``recover``).
 SPAN_FAULT = "host.fault"
-#: XPaxos changed views (attrs: ``view``).
+#: A replica started a view / round change (attrs: ``view``, ``protocol``).
 SPAN_VIEW_CHANGE = "xp.view_change"
 #: The adversary engine actuated one attack primitive (attrs:
 #: ``strategy``, ``action``, plus the action's targets — e.g.

@@ -11,6 +11,9 @@ BFT protocol can consume.  This package makes that boundary executable:
 - :mod:`repro.protocol.backend` — the :class:`ProtocolBackend` contract
   (replica construction, observation, message-cost accounting) and the
   registry behind every ``--protocol xpaxos|ibft`` switch.
+- :mod:`repro.protocol.replica` — :class:`ReplicaCore`, the replica
+  every backend subclasses: intake, batching, execution, checkpoints
+  and decision changes exist once; a backend adds its vote phase.
 - :mod:`repro.protocol.system` — a backend-parametrized twin of
   :func:`repro.xpaxos.system.build_system` used by the conformance
   suite and the head-to-head benchmark.

@@ -32,6 +32,7 @@ import importlib
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Optional, Tuple
 
+from repro.protocol.policy import EnumerationPolicy, SelectionPolicy
 from repro.util.errors import ConfigurationError
 
 #: Built-in backends, resolved lazily on first :func:`get_backend` call.
@@ -78,6 +79,8 @@ class ProtocolBackend:
     fd_group: str = "?"
     #: Inter-replica wire kinds (client-facing kinds excluded).
     replica_kinds: Tuple[str, ...] = ()
+    #: The :class:`~repro.protocol.replica.ReplicaCore` subclass to run.
+    replica_class: type
 
     # ------------------------------------------------------------ construction
 
@@ -99,13 +102,31 @@ class ProtocolBackend:
         (:class:`~repro.protocol.policy.SelectionPolicy`); absent, the
         backend falls back to its native enumeration behaviour.
         """
-        raise NotImplementedError
+        policy = SelectionPolicy(n, f) if qs_module is not None else EnumerationPolicy(n, f)
+        return host.add_module(
+            self.replica_class(
+                host, n=n, f=f, policy=policy, qs_module=qs_module,
+                batch_size=batch_size, batch_window=batch_window,
+                checkpoint_interval=checkpoint_interval,
+                state_machine=state_machine,
+            )
+        )
 
     # ------------------------------------------------------------- observation
 
     def observe(self, replica: Any) -> ReplicaStatus:
         """Reduce a replica built by this backend to a :class:`ReplicaStatus`."""
-        raise NotImplementedError
+        return ReplicaStatus(
+            protocol=self.name,
+            decision_number=replica.view,
+            quorum=replica.quorum,
+            leader=replica.leader,
+            status=replica.status,
+            commits=replica.commits,
+            decision_changes=replica.view_changes,
+            executed=replica.executed_base + len(replica.executed),
+            checkpoints=replica.checkpoints_made,
+        )
 
     # ------------------------------------------------------------- accounting
 

@@ -22,10 +22,10 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.crypto.authenticator import SignedMessage
+from repro.protocol.enumeration import leader_of_view
 from repro.sim.events import TimerHandle
 from repro.sim.process import Module
 from repro.util.ids import ProcessId
-from repro.xpaxos.enumeration import leader_of_view
 from repro.xpaxos.messages import KIND_REPLY, KIND_REQUEST, ClientRequest, ReplyPayload
 
 #: Completion callback: (op, result, latency).

@@ -34,11 +34,11 @@ from repro.net.host import NetHost
 from repro.net.node import parse_peer_map
 from repro.net.peer import PeerManager
 from repro.net.timers import NetTimerService
+from repro.protocol.policy import SelectionPolicy
 from repro.service.client import ServiceClient
 from repro.service.loadgen import LoadGenerator, Workload, summarize_phase
 from repro.util.errors import ConfigurationError
 from repro.xpaxos.messages import KIND_REPLY, ReplyPayload
-from repro.xpaxos.quorum_policy import SelectionPolicy
 
 
 class ClientGateway:

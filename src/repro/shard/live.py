@@ -33,13 +33,13 @@ from typing import Any, Dict, List, Optional
 
 from repro.net.cluster import ClusterConfig, run_cluster
 from repro.obs.registry import merge_snapshots
+from repro.protocol.policy import SelectionPolicy
 from repro.service.live import ClientGateway, service_verdict
 from repro.service.loadgen import Workload
 from repro.shard.ring import DEFAULT_VNODES, HashRing
 from repro.shard.router import ShardedLoadGenerator, ShardRouter
 from repro.shard.sim import shard_phases
 from repro.util.errors import ConfigurationError
-from repro.xpaxos.quorum_policy import SelectionPolicy
 
 
 async def run_live_shard_load(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 
 @dataclass(order=True, slots=True)
@@ -50,13 +50,20 @@ class TimerHandle:
 
     Cancellation is lazy: the event stays queued but is skipped when its
     time comes.  ``fired`` distinguishes "ran" from "cancelled first".
+    ``owner`` is the host's table of pending timers; the handle leaves it
+    when it fires or is cancelled, so the table holds only live timers.
     """
 
-    __slots__ = ("_event", "fired")
+    __slots__ = ("_event", "fired", "_owner")
 
-    def __init__(self, event: ScheduledEvent) -> None:
+    def __init__(
+        self, event: ScheduledEvent, owner: Optional[Dict["TimerHandle", None]] = None
+    ) -> None:
         self._event = event
         self.fired = False
+        self._owner = owner
+        if owner is not None:
+            owner[self] = None
 
     @property
     def time(self) -> float:
@@ -68,6 +75,12 @@ class TimerHandle:
 
     def cancel(self) -> None:
         self._event.cancelled = True
+        self._forget()
 
     def _mark_fired(self) -> None:
         self.fired = True
+        self._forget()
+
+    def _forget(self) -> None:
+        if self._owner is not None:
+            self._owner.pop(self, None)

@@ -70,7 +70,9 @@ class ProcessHost:
         self.fd: Optional[Any] = None  # duck-typed FailureDetector
         self._subscribers: Dict[str, List[DeliveryHandler]] = {}
         self._modules: List[Module] = []
-        self._timers: List[TimerHandle] = []
+        #: Pending timers only (insertion-ordered): a handle leaves when it
+        #: fires or is cancelled.
+        self._timers: Dict[TimerHandle, None] = {}
         network.register_host(self)
 
     # --------------------------------------------------------------- modules
@@ -162,8 +164,7 @@ class ProcessHost:
             action()
 
         event = self.scheduler.schedule(delay, fire, label=label or "timer")
-        handle = TimerHandle(event)
-        self._timers.append(handle)
+        handle = TimerHandle(event, self._timers)
         return handle
 
     # ------------------------------------------------------------------ crash
@@ -176,9 +177,8 @@ class ProcessHost:
         the failure detector must learn to suspect.
         """
         self.running = False
-        for timer in self._timers:
+        for timer in list(self._timers):
             timer.cancel()
-        self._timers.clear()
         self.log.append(self.now, self.pid, "crash")
         self.obs.fault_injected(self.pid, self.now)
 

@@ -37,13 +37,13 @@ from repro.xpaxos.messages import (
     KIND_REPLY,
 )
 from repro.xpaxos.state_machine import BankLedger, KeyValueStore, StateMachine
-from repro.xpaxos.enumeration import (
+from repro.protocol.enumeration import (
     quorum_for_view,
     view_for_quorum,
     rank_of_quorum,
     total_quorums,
 )
-from repro.xpaxos.quorum_policy import QuorumPolicy, EnumerationPolicy, SelectionPolicy
+from repro.protocol.policy import QuorumPolicy, EnumerationPolicy, SelectionPolicy
 from repro.xpaxos.replica import XPaxosReplica
 from repro.xpaxos.client import XPaxosClient
 from repro.xpaxos.system import XPaxosSystem, build_system

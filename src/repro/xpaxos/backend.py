@@ -1,17 +1,13 @@
 """XPaxos as a :class:`~repro.protocol.backend.ProtocolBackend` (E29).
 
-The adapter owns no protocol logic — it packages replica construction,
-observation, and message accounting for :mod:`repro.xpaxos.replica` so
-worlds, nodes, and benchmarks select it by name.
+The adapter owns no protocol logic — it names the replica class, the
+wire kinds and the closed-form message cost so worlds, nodes, and
+benchmarks select :mod:`repro.xpaxos.replica` by name.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
-from repro.protocol.backend import ProtocolBackend, ReplicaStatus, register_backend
-from repro.protocol.policy import EnumerationPolicy, SelectionPolicy
-from repro.xpaxos import replica as replica_mod
+from repro.protocol.backend import ProtocolBackend, register_backend
 from repro.xpaxos.messages import (
     KIND_CHECKPOINT,
     KIND_COMMIT,
@@ -26,8 +22,9 @@ class XPaxosBackend(ProtocolBackend):
     """XFT 2-phase agreement in the active quorum (Figs. 2-3)."""
 
     name = "xpaxos"
-    decision_term = "view"
-    fd_group = replica_mod.FD_GROUP
+    decision_term = XPaxosReplica.term
+    fd_group = XPaxosReplica.fd_group
+    replica_class = XPaxosReplica
     replica_kinds = (
         KIND_PREPARE,
         KIND_COMMIT,
@@ -35,41 +32,6 @@ class XPaxosBackend(ProtocolBackend):
         KIND_NEWVIEW,
         KIND_CHECKPOINT,
     )
-
-    def build_replica(
-        self,
-        host: Any,
-        n: int,
-        f: int,
-        qs_module: Optional[Any] = None,
-        *,
-        batch_size: int = 1,
-        batch_window: float = 0.0,
-        checkpoint_interval: Optional[int] = None,
-        state_machine: Optional[Any] = None,
-    ) -> XPaxosReplica:
-        policy = SelectionPolicy(n, f) if qs_module is not None else EnumerationPolicy(n, f)
-        return host.add_module(
-            XPaxosReplica(
-                host, n=n, f=f, policy=policy, qs_module=qs_module,
-                batch_size=batch_size, batch_window=batch_window,
-                checkpoint_interval=checkpoint_interval,
-                state_machine=state_machine,
-            )
-        )
-
-    def observe(self, replica: XPaxosReplica) -> ReplicaStatus:
-        return ReplicaStatus(
-            protocol=self.name,
-            decision_number=replica.view,
-            quorum=replica.quorum,
-            leader=replica.leader,
-            status=replica.status,
-            commits=replica.commits,
-            decision_changes=replica.view_changes,
-            executed=replica.executed_base + len(replica.executed),
-            checkpoints=replica.checkpoints_made,
-        )
 
     def analytic_messages_per_decision(self, quorum_size: int) -> int:
         # PREPARE to q-1 members, then each of the q-1 non-leader members

@@ -13,10 +13,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.authenticator import SignedMessage
+from repro.protocol.enumeration import leader_of_view
 from repro.sim.events import TimerHandle
 from repro.sim.process import Module, ProcessHost
 from repro.util.ids import ProcessId
-from repro.xpaxos.enumeration import leader_of_view
 from repro.xpaxos.messages import KIND_REPLY, KIND_REQUEST, ClientRequest, ReplyPayload
 
 

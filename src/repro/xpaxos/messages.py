@@ -50,6 +50,16 @@ class ClientRequest:
         return (self.client, self.sequence)
 
 
+def is_client_request(signed: Any, verify) -> bool:
+    """A request envelope correctly signed by the client it names."""
+    return (
+        isinstance(signed, SignedMessage)
+        and verify(signed)
+        and isinstance(signed.payload, ClientRequest)
+        and signed.signer == signed.payload.client
+    )
+
+
 @wire_message(0x13, "__xprep__", view=INT, slot=INT, signed_requests=tuple_of(VALUE))
 @dataclass(frozen=True)
 class PreparePayload:
@@ -119,6 +129,10 @@ class CommitCertificate:
     prepare: SignedMessage
     commits: Tuple[SignedMessage, ...]
 
+    @property
+    def requests(self) -> Tuple[ClientRequest, ...]:
+        return self.prepare.payload.requests
+
     def canonical(self):
         return (
             "commit-certificate",
@@ -141,6 +155,8 @@ def certificate_is_valid(
     non-leader quorum member contributed a signed COMMIT embedding a
     PREPARE with the same request digest.
     """
+    if not isinstance(certificate, CommitCertificate):
+        return False
     prepare = certificate.prepare
     if not isinstance(prepare, SignedMessage) or not verify(prepare):
         return False
@@ -149,12 +165,8 @@ def certificate_is_valid(
         return False
     if not body.signed_requests:
         return False
-    for inner in body.signed_requests:
-        if not isinstance(inner, SignedMessage) or not verify(inner):
-            return False
-        request = inner.payload
-        if not isinstance(request, ClientRequest) or inner.signer != request.client:
-            return False
+    if not all(is_client_request(inner, verify) for inner in body.signed_requests):
+        return False
     quorum = quorum_of(body.view)
     if prepare.signer != min(quorum):
         return False

@@ -1,4 +1,4 @@
-"""The XPaxos replica: normal case (Figs. 2-3), FD wiring (Sec. V), views.
+"""The XPaxos vote phase (Figs. 2-3) on the shared replica core.
 
 Normal case in view ``v`` with active quorum ``Q`` and leader
 ``l = min(Q)`` (Figure 2):
@@ -20,389 +20,67 @@ equivocation; a COMMIT arriving before its PREPARE (Figure 3) makes the
 process adopt the embedded PREPARE, send its own COMMIT, and expect the
 PREPARE from the leader.
 
-View changes keep XPaxos' enumeration semantics (Section V-B): view ``v``
-runs quorum ``rank v mod C(n, f)``; moving to a selected quorum skips all
-quorums ordered before it.  The state-transfer part is a simplified (but
-order-safe within the simulated fault model) exchange of signed
-``VIEW-CHANGE`` logs merged by the new leader into a ``NEW-VIEW`` — see
-DESIGN.md §5.7 for the delta to XPaxos' full OSDI'16 protocol.
+Everything else — intake, batching, execution, checkpoints, view changes
+over the Section V-B enumeration — is :class:`ReplicaCore`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional
 
 from repro.crypto.authenticator import SignedMessage
-from repro.obs.observability import NULL_OBS, get_obs
-from repro.obs.spans import SPAN_VIEW_CHANGE
-from repro.sim.process import Module, ProcessHost
-from repro.util.errors import ConfigurationError
+from repro.protocol.replica import ReplicaCore, SlotState as CoreSlotState
 from repro.util.ids import ProcessId
-from repro.crypto.digests import digest
 from repro.xpaxos.messages import (
     KIND_CHECKPOINT,
     KIND_COMMIT,
     KIND_NEWVIEW,
     KIND_PREPARE,
-    KIND_REPLY,
-    KIND_REQUEST,
     KIND_VIEWCHANGE,
-    ClientRequest,
     CommitCertificate,
     CommitPayload,
-    NewViewPayload,
     PreparePayload,
-    ReplyPayload,
-    ViewChangePayload,
-    CheckpointCertificate,
-    CheckpointPayload,
     certificate_is_valid,
-    checkpoint_certificate_is_valid,
     commit_is_malformed,
 )
-from repro.xpaxos.quorum_policy import QuorumPolicy
-from repro.xpaxos.state_machine import KeyValueStore, StateMachine
-
-FD_GROUP = "xpaxos"
-
-STATUS_NORMAL = "normal"
-STATUS_VIEW_CHANGE = "view-change"
 
 
 @dataclass
-class SlotState:
-    """Per-(view, slot) agreement state.
+class SlotState(CoreSlotState):
+    """``commit_messages`` keeps the *signed* COMMITs (digest-matching
+    only) so that a commit certificate — prepare plus every non-leader
+    member's COMMIT — can be assembled for view-change state transfer."""
 
-    ``commit_messages`` keeps the *signed* COMMITs (digest-matching only)
-    so that a commit certificate — prepare plus every non-leader member's
-    COMMIT — can be assembled for view-change state transfer.
-    """
-
-    prepare: Optional[SignedMessage] = None
-    requests: Tuple[ClientRequest, ...] = ()
-    request_digest: str = ""
     commit_messages: Dict[int, SignedMessage] = field(default_factory=dict)
-    own_commit_sent: bool = False
     own_commit: Optional[SignedMessage] = None
-    committed: bool = False
 
 
-class XPaxosReplica(Module):
+class XPaxosReplica(ReplicaCore):
     """One XPaxos replica (process ids ``1..n`` are replicas)."""
 
-    def __init__(
-        self,
-        host: ProcessHost,
-        n: int,
-        f: int,
-        policy: QuorumPolicy,
-        qs_module: Optional[Any] = None,
-        batch_size: int = 1,
-        batch_window: float = 0.0,
-        checkpoint_interval: Optional[int] = None,
-        state_machine: Optional[StateMachine] = None,
-    ) -> None:
-        super().__init__(host)
-        if n != 2 * f + 1 and n <= 2 * f:
-            raise ConfigurationError(
-                f"XPaxos needs n >= 2f + 1; got n={n}, f={f}"
-            )
-        self.n = n
-        self.f = f
-        self.q = n - f
-        self.policy = policy
-        self.qs = qs_module
-        if batch_size < 1:
-            raise ConfigurationError(f"batch size must be >= 1, got {batch_size}")
-        if batch_window < 0:
-            raise ConfigurationError(f"batch window must be >= 0, got {batch_window}")
-        # Leader-side batching: collect up to batch_size requests (or
-        # whatever arrived within batch_window) into one slot.
-        self.batch_size = batch_size
-        self.batch_window = batch_window
-        self._batch_timer_armed = False
-        if checkpoint_interval is not None and checkpoint_interval < 1:
-            raise ConfigurationError(
-                f"checkpoint interval must be >= 1, got {checkpoint_interval}"
-            )
-        # Log compaction: every `checkpoint_interval` slots the quorum
-        # certifies a state digest; certificates before it are dropped.
-        self.checkpoint_interval = checkpoint_interval
-        self.checkpoint_slot = 0  # slots covered by the stable checkpoint
-        self.checkpoint: Optional[Tuple[CheckpointCertificate, Tuple]] = None
-        self._pending_snapshots: Dict[int, Tuple] = {}
-        self._ckpt_votes: Dict[Tuple[int, int, str], Dict[int, SignedMessage]] = {}
-        self.checkpoints_made = 0
-        # --- view state ---
-        self.view = 0
-        self.status = STATUS_NORMAL
-        # --- log & execution state ---
-        self.slots: Dict[int, SlotState] = {}
-        self.next_slot = 0
-        self.kv: StateMachine = state_machine if state_machine is not None else KeyValueStore()
-        self._apply_request = getattr(self.kv, "apply_request", None)
-        self.executed: List[ClientRequest] = []
-        #: Requests covered by the stable checkpoint and pruned from
-        #: ``executed`` (service mode only; 0 otherwise).
-        self.executed_base = 0
-        self.executed_certs: List[Any] = []  # CommitCertificate per slot
-        self._executed_ids: Set[Tuple[int, int]] = set()
-        self._reply_cache: Dict[Tuple[int, int], Any] = {}
-        self.pending: List[SignedMessage] = []  # leader queue of signed requests
-        self._queued_ids: Set[Tuple[int, int]] = set()
-        # --- view change bookkeeping ---
-        self._vc_received: Dict[int, Dict[int, ViewChangePayload]] = {}
-        self._newview_done_for: int = -1
-        # --- instrumentation ---
-        self.view_changes = 0
-        self.commits = 0
-        self.detected_events: List[Tuple[float, int, str]] = []
-        self._execution_cursor = 0
-        self._obs = NULL_OBS  # bound in start()
-
-    # ------------------------------------------------------------- lifecycle
+    prefix = "xp"
+    term = "view"
+    fd_group = "xpaxos"
+    kind_proposal = KIND_PREPARE
+    kind_viewchange = KIND_VIEWCHANGE
+    kind_newview = KIND_NEWVIEW
+    kind_checkpoint = KIND_CHECKPOINT
+    proposal_type = PreparePayload
+    slot_state = SlotState
+    certificate_is_valid = staticmethod(certificate_is_valid)
 
     def start(self) -> None:
-        self._obs = get_obs(self.host)
-        self._obs.add_collector(self._collect_metrics)
-        self.host.subscribe(KIND_REQUEST, self._on_request)
-        self.host.subscribe(KIND_PREPARE, self._on_prepare)
+        super().start()
         self.host.subscribe(KIND_COMMIT, self._on_commit)
-        self.host.subscribe(KIND_VIEWCHANGE, self._on_viewchange)
-        self.host.subscribe(KIND_NEWVIEW, self._on_newview)
-        self.host.subscribe(KIND_CHECKPOINT, self._on_checkpoint)
-        if self.host.fd is not None:
-            self.host.fd.subscribe_suspected(self._on_suspected)
-        if self.qs is not None:
-            self.qs.add_quorum_listener(self._on_selected_quorum)
 
-    def _collect_metrics(self, registry) -> None:
-        """Snapshot-time collector for the replica's plain-int counters."""
-        pid = self.pid
-        registry.counter("xp_commits_total", help="operations committed",
-                         pid=pid).set(self.commits)
-        registry.counter("xp_view_changes_total", help="view changes completed",
-                         pid=pid).set(self.view_changes)
-        registry.counter("xp_checkpoints_total", help="checkpoints taken",
-                         pid=pid).set(self.checkpoints_made)
-        registry.gauge("xp_view", help="current view", pid=pid).set(self.view)
-
-    # ---------------------------------------------------------------- helpers
-
-    @property
-    def quorum(self) -> FrozenSet[int]:
-        return self.policy.quorum_of(self.view)
-
-    @property
-    def leader(self) -> ProcessId:
-        return self.policy.leader_of(self.view)
-
-    @property
-    def is_leader(self) -> bool:
-        return self.pid == self.leader
-
-    @property
-    def in_quorum(self) -> bool:
-        return self.pid in self.quorum
-
-    @property
-    def total_slots(self) -> int:
-        """Absolute number of committed slots (checkpointed + live)."""
-        return self.checkpoint_slot + len(self.executed_certs)
-
-    def _verify(self, message: SignedMessage) -> bool:
-        return self.host.authenticator.verify(message)
-
-    def _detect(self, culprit: ProcessId, reason: str) -> None:
-        self.detected_events.append((self.host.now, culprit, reason))
-        self.host.log.append(self.host.now, self.pid, "xp.detected", target=culprit, reason=reason)
-        if self.host.fd is not None:
-            self.host.fd.detected(culprit)
-
-    # =================================================================
-    # Normal case
-    # =================================================================
-
-    def _on_request(self, kind: str, payload: Any, src: ProcessId) -> None:
-        if not isinstance(payload, SignedMessage):
-            return
-        if self.host.fd is None and not self._verify(payload):
-            return
-        request = payload.payload
-        if not isinstance(request, ClientRequest) or payload.signer != request.client:
-            return
-        rid = request.request_id()
-        if rid in self._reply_cache:
-            self._send_reply(request, self._reply_cache[rid])
-            return
-        if not self.is_leader or self.status != STATUS_NORMAL:
-            # Forward to whoever we currently believe leads (clients may
-            # address a stale leader or broadcast on retry).
-            if self.pid != self.leader and src == request.client:
-                self.host.send(self.leader, KIND_REQUEST, payload)
-            return
-        if rid in self._queued_ids:
-            return
-        self._queued_ids.add(rid)
-        self.pending.append(payload)
-        self._propose_pending()
-
-    def _propose_pending(self) -> None:
-        """Leader: assign slots to queued requests and send PREPAREs.
-
-        With ``batch_window > 0`` the leader waits (once) for the window
-        to fill before proposing, amortizing one slot's agreement cost
-        over up to ``batch_size`` requests; otherwise requests are
-        proposed immediately in batches of whatever is queued.
-        """
-        if not self.is_leader or self.status != STATUS_NORMAL:
-            return
-        if self.batch_window > 0 and 0 < len(self.pending) < self.batch_size:
-            # Wait for the window to fill; arrivals while the flush timer
-            # is armed simply join the forming batch.  A full batch takes
-            # the immediate path below.
-            if not self._batch_timer_armed:
-                self._batch_timer_armed = True
-
-                def flush() -> None:
-                    self._batch_timer_armed = False
-                    self._propose_now()
-
-                self.host.set_timer(self.batch_window, flush, label="xp-batch")
-            return
-        self._propose_now()
-
-    def _propose_now(self) -> None:
-        while self.pending:
-            batch: List[SignedMessage] = []
-            while self.pending and len(batch) < self.batch_size:
-                signed_request = self.pending.pop(0)
-                if signed_request.payload.request_id() in self._executed_ids:
-                    continue
-                batch.append(signed_request)
-            if not batch:
-                return
-            slot = self.next_slot
-            self.next_slot += 1
-            prepare_body = PreparePayload(
-                view=self.view, slot=slot, signed_requests=tuple(batch)
-            )
-            prepare = self.host.authenticator.sign(prepare_body)
-            state = self._slot(slot)
-            state.prepare = prepare
-            state.requests = prepare_body.requests
-            state.request_digest = prepare_body.request_digest()
-            state.own_commit_sent = True  # the PREPARE is the leader's commit
-            for member in sorted(self.quorum - {self.pid}):
-                self.host.send(member, KIND_PREPARE, prepare)
-            self._expect_commits(slot, prepare_body)
-            self._maybe_commit(slot)
-
-    def _slot(self, slot: int) -> SlotState:
-        return self.slots.setdefault(slot, SlotState())
-
-    def _expect_commits(self, slot: int, prepare_body: PreparePayload) -> None:
-        """Section V-A: on sending/receiving a PREPARE, expect COMMITs.
-
-        Subtlety #1: no expectation for members whose COMMIT for this slot
-        already arrived.
-        """
-        if self.host.fd is None:
-            return
-        state = self._slot(slot)
-        view = prepare_body.view
-        for member in sorted(self.quorum):
-            if member in (self.pid, self.leader):
-                continue
-            if member in state.commit_messages:
-                continue
-
-            def match(kind: str, payload: Any, member=member, view=view, slot=slot) -> bool:
-                return (
-                    kind == KIND_COMMIT
-                    and isinstance(payload, SignedMessage)
-                    and payload.signer == member
-                    and isinstance(payload.payload, CommitPayload)
-                    and payload.payload.view == view
-                    and payload.payload.slot == slot
-                )
-
-            self.host.fd.expect(
-                source=member,
-                predicate=match,
-                group=FD_GROUP,
-                label=f"commit<-p{member}@v{view}s{slot}",
-            )
-
-    def _expect_prepare(self, slot: int, view: int) -> None:
-        """Subtlety #3 (Figure 3): COMMIT overtook the PREPARE — expect it."""
-        if self.host.fd is None:
-            return
-        leader = self.leader
-
-        def match(kind: str, payload: Any) -> bool:
-            return (
-                kind == KIND_PREPARE
-                and isinstance(payload, SignedMessage)
-                and payload.signer == leader
-                and isinstance(payload.payload, PreparePayload)
-                and payload.payload.view == view
-                and payload.payload.slot == slot
-            )
-
-        self.host.fd.expect(
-            source=leader,
-            predicate=match,
-            group=FD_GROUP,
-            label=f"prepare<-p{leader}@v{view}s{slot}",
+    def _proposal_accepted(self, state: SlotState, body: PreparePayload) -> None:
+        self._expect_votes(
+            KIND_COMMIT, CommitPayload, body.view, body.slot, state.commit_messages
         )
-
-    def _on_prepare(self, kind: str, payload: Any, src: ProcessId) -> None:
-        if not isinstance(payload, SignedMessage):
-            return
-        if self.host.fd is None and not self._verify(payload):
-            return
-        body = payload.payload
-        if not isinstance(body, PreparePayload):
-            return
-        if body.view != self.view or self.status != STATUS_NORMAL or not self.in_quorum:
-            return
-        if payload.signer != self.leader:
-            return
-        self._accept_prepare(payload, body)
-
-    def _accept_prepare(self, prepare: SignedMessage, body: PreparePayload) -> None:
-        state = self._slot(body.slot)
-        incoming_digest = body.request_digest()
-        if state.prepare is not None:
-            if state.request_digest != incoming_digest:
-                # Two leader-signed PREPAREs for one (view, slot):
-                # equivocation, provable from the two signatures.
-                self._detect(self.leader, "prepare-equivocation")
-            return
-        # A leader cannot invent operations: the PREPARE must embed
-        # requests correctly signed by the claimed clients.
-        if not body.signed_requests:
-            self._detect(prepare.signer, "empty-batch")
-            return
-        for inner in body.signed_requests:
-            if (
-                not isinstance(inner, SignedMessage)
-                or not self._verify(inner)
-                or not isinstance(inner.payload, ClientRequest)
-                or inner.signer != inner.payload.client
-            ):
-                self._detect(prepare.signer, "forged-client-request")
-                return
-        state.prepare = prepare
-        state.requests = body.requests
-        state.request_digest = incoming_digest
-        self._expect_commits(body.slot, body)
-        if not state.own_commit_sent:
-            state.own_commit_sent = True
+        if not self.is_leader:  # the PREPARE is the leader's commit
             commit = self.host.authenticator.sign(
-                CommitPayload(view=body.view, slot=body.slot, prepare=prepare)
+                CommitPayload(view=body.view, slot=body.slot, prepare=state.proposal)
             )
             state.own_commit = commit
             for member in sorted(self.quorum - {self.pid}):
@@ -410,14 +88,8 @@ class XPaxosReplica(Module):
         self._maybe_commit(body.slot)
 
     def _on_commit(self, kind: str, payload: Any, src: ProcessId) -> None:
-        if not isinstance(payload, SignedMessage):
-            return
-        if self.host.fd is None and not self._verify(payload):
-            return
-        body = payload.payload
-        if not isinstance(body, CommitPayload):
-            return
-        if body.view != self.view or self.status != STATUS_NORMAL or not self.in_quorum:
+        body = self._authentic(payload, CommitPayload)
+        if body is None or not self._is_current(body):
             return
         sender = payload.signer
         if sender not in self.quorum or sender == self.leader:
@@ -428,22 +100,20 @@ class XPaxosReplica(Module):
             # PREPARE: the sender is provably faulty (Section V-A).
             self._detect(sender, f"malformed-commit:{reason}")
             return
-        embedded: PreparePayload = body.prepare.payload
         if body.prepare.signer != self.leader:
             self._detect(sender, "commit-wrong-leader")
             return
         state = self._slot(body.slot)
-        embedded_digest = embedded.request_digest()
-        if state.prepare is None:
+        if state.proposal is None:
             # Figure 3: the COMMIT overtook the leader's PREPARE.  Record
             # the sender's commit *first* (subtlety #1: no expectation may
             # be issued for a process whose COMMIT already arrived), then
             # adopt the embedded PREPARE, commit ourselves, and expect the
             # leader's copy.
             state.commit_messages[sender] = payload
-            self._expect_prepare(body.slot, body.view)
-            self._accept_prepare(body.prepare, embedded)
-        elif state.request_digest != embedded_digest:
+            self._expect(self.leader, KIND_PREPARE, PreparePayload, body.view, body.slot)
+            self._accept_proposal(body.prepare, body.prepare.payload)
+        elif state.request_digest != body.prepare.payload.request_digest():
             # Embedded PREPARE differs from ours: both are leader-signed,
             # so the leader equivocated.
             self._detect(self.leader, "prepare-equivocation")
@@ -454,519 +124,20 @@ class XPaxosReplica(Module):
 
     def _maybe_commit(self, slot: int) -> None:
         state = self._slot(slot)
-        if state.committed or state.prepare is None or not state.own_commit_sent:
+        if state.committed or state.proposal is None:
             return
-        if not state.requests:
-            return
-        needed = self.quorum - {self.pid, self.leader}
-        have = {
-            member
-            for member in state.commit_messages
-            if member in self.quorum
-        }
-        if needed - have:
-            return
-        state.committed = True
-        self.commits += 1
-        self.host.log.append(
-            self.host.now, self.pid, "xp.commit",
-            view=self.view, slot=slot,
-            requests=tuple(r.request_id() for r in state.requests),
-        )
-        self._execute_ready()
+        if self.quorum - {self.pid, self.leader} <= state.commit_messages.keys():
+            self._decide(slot, state)
 
     def _certificate_for(self, state: SlotState) -> CommitCertificate:
-        """Assemble the commit certificate for a just-committed slot.
-
-        Commits come from every quorum member except the leader; when
+        """Commits come from every quorum member except the leader; when
         this replica is a follower its own (signed) COMMIT completes the
-        set — the leader's commitment is the PREPARE itself.
-        """
+        set — the leader's commitment is the PREPARE itself."""
         commits = [
             state.commit_messages[member]
             for member in sorted(state.commit_messages)
             if member in self.quorum
         ]
-        if not self.is_leader and state.own_commit is not None:
+        if state.own_commit is not None:
             commits.append(state.own_commit)
-        return CommitCertificate(prepare=state.prepare, commits=tuple(commits))
-
-    def _execute_ready(self) -> None:
-        """Execute the contiguous committed prefix, replying per request."""
-        while True:
-            slot = self._execution_cursor
-            state = self.slots.get(slot)
-            if state is None or not state.committed or not state.requests:
-                return
-            self._apply_batch(state.requests, self._certificate_for(state))
-            self._execution_cursor = slot + 1
-
-    def _apply_batch(self, requests, certificate: CommitCertificate) -> None:
-        """Execute one committed slot's batch; one certificate per slot."""
-        for request in requests:
-            self._execute_one(request)
-        self.executed_certs.append(certificate)
-        self._maybe_checkpoint()
-
-    # =================================================================
-    # Checkpointing (log compaction)
-    # =================================================================
-
-    def _snapshot(self, slot_count: int) -> Tuple:
-        """Digestable snapshot of the application state right now.
-
-        The snapshot keeps the flat request history so a replica adopting
-        it can still serve retransmissions and the harness can check
-        prefix consistency.  Service state machines carry their own
-        per-client dedup table inside ``snapshot_items()``, so their
-        snapshots keep only the applied-request *count* — without the
-        bound, view-change payloads (which ship the snapshot) grow with
-        total history and stall the live event loop long enough to trip
-        failure detectors on healthy peers.
-        """
-        if self._apply_request is not None:
-            return (
-                "xp-snapshot-svc",
-                slot_count,
-                self.executed_base + len(self.executed),
-                self.kv.snapshot_items(),
-                (),
-            )
-        return (
-            "xp-snapshot",
-            slot_count,
-            tuple(request.canonical() for request in self.executed),
-            self.kv.snapshot_items(),
-            tuple(sorted(self._reply_cache.items())),
-        )
-
-    def _maybe_checkpoint(self) -> None:
-        if self.checkpoint_interval is None or self.status != STATUS_NORMAL:
-            return
-        total = self.total_slots
-        if total == 0 or total % self.checkpoint_interval:
-            return
-        if total in self._pending_snapshots or not self.in_quorum:
-            return
-        snapshot = self._snapshot(total)
-        self._pending_snapshots[total] = snapshot
-        body = CheckpointPayload(
-            view=self.view, slot_count=total, state_digest=digest(snapshot)
-        )
-        self.host.broadcast(
-            sorted(self.quorum), KIND_CHECKPOINT, self.host.authenticator.sign(body)
-        )
-
-    def _on_checkpoint(self, kind: str, payload: Any, src: ProcessId) -> None:
-        if not isinstance(payload, SignedMessage):
-            return
-        if self.host.fd is None and not self._verify(payload):
-            return
-        body = payload.payload
-        if not isinstance(body, CheckpointPayload):
-            return
-        if body.view != self.view or payload.signer not in self.quorum:
-            return
-        key = (body.view, body.slot_count, body.state_digest)
-        votes = self._ckpt_votes.setdefault(key, {})
-        votes[payload.signer] = payload
-        if set(votes) != self.quorum:
-            return
-        if body.slot_count <= self.checkpoint_slot:
-            return
-        snapshot = self._pending_snapshots.get(body.slot_count)
-        if snapshot is None or digest(snapshot) != body.state_digest:
-            return  # our state diverges from the certified digest
-        certificate = CheckpointCertificate(
-            votes=tuple(votes[member] for member in sorted(votes))
-        )
-        self._stabilize_checkpoint(certificate, snapshot)
-
-    def _stabilize_checkpoint(
-        self, certificate: CheckpointCertificate, snapshot: Tuple
-    ) -> None:
-        slot_count = certificate.payload.slot_count
-        drop = slot_count - self.checkpoint_slot
-        self.executed_certs = self.executed_certs[drop:]
-        self.checkpoint_slot = slot_count
-        self.checkpoint = (certificate, snapshot)
-        self.checkpoints_made += 1
-        self._pending_snapshots = {
-            slots: snap
-            for slots, snap in self._pending_snapshots.items()
-            if slots > slot_count
-        }
-        self._ckpt_votes = {
-            key: votes
-            for key, votes in self._ckpt_votes.items()
-            if key[1] > slot_count
-        }
-        if snapshot[0] == "xp-snapshot-svc":
-            # The service dedup table now covers everything up to the
-            # snapshot; drop the flat history and its reply-cache entries
-            # so replica memory — and view-change payloads — stay bounded.
-            covered = max(0, snapshot[2] - self.executed_base)
-            for request in self.executed[:covered]:
-                rid = request.request_id()
-                self._executed_ids.discard(rid)
-                self._reply_cache.pop(rid, None)
-            del self.executed[:covered]
-            self.executed_base = snapshot[2]
-        self.host.log.append(
-            self.host.now, self.pid, "xp.checkpoint",
-            slots=slot_count, live_certs=len(self.executed_certs),
-        )
-
-    def _execute_one(self, request: ClientRequest) -> None:
-        rid = request.request_id()
-        if rid in self._executed_ids:
-            result = self._reply_cache.get(rid)
-        else:
-            # Service state machines dedup per client (at-most-once) and
-            # need the request id; plain ones only see the operation.
-            if self._apply_request is not None:
-                result = self._apply_request(request.client, request.sequence, request.op)
-            else:
-                result = self.kv.apply(request.op)
-            self.executed.append(request)
-            self._executed_ids.add(rid)
-            self._reply_cache[rid] = result
-            self.host.log.append(
-                self.host.now, self.pid, "xp.execute", request=rid, total=len(self.executed)
-            )
-        self._send_reply(request, result)
-
-    def _send_reply(self, request: ClientRequest, result: Any) -> None:
-        reply = self.host.authenticator.sign(
-            ReplyPayload(
-                client=request.client,
-                sequence=request.sequence,
-                result=result,
-                replica=self.pid,
-                view=self.view,
-            )
-        )
-        self.host.send(request.client, KIND_REPLY, reply)
-
-    # =================================================================
-    # View changes
-    # =================================================================
-
-    def _on_suspected(self, suspected: FrozenSet[int]) -> None:
-        target = self.policy.next_view_on_suspicion(self.view, suspected)
-        if target is not None and target > self.view:
-            self._start_view_change(target)
-
-    def _on_selected_quorum(self, event: Any) -> None:
-        target = self.policy.view_for_selected_quorum(event.quorum, self.view)
-        if target is not None and target > self.view:
-            self._start_view_change(target)
-
-    def _acceptable_view(self, target: int) -> bool:
-        """Whether to join a view change announced by a peer."""
-        if target <= self.view:
-            return False
-        if self.qs is not None:
-            # Selection mode: only views matching the QS module's verdict.
-            return self.policy.quorum_of(target) == self.qs.current_quorum
-        return True
-
-    def _start_view_change(self, target: int) -> None:
-        self.view = target
-        self.status = STATUS_VIEW_CHANGE
-        self.view_changes += 1
-        # Report prepared-but-uncommitted entries *before* clearing the
-        # per-view log, so the new leader can re-propose them.
-        prepared = self._prepared_entries()
-        self.slots = {}
-        self.next_slot = self.total_slots
-        self._execution_cursor = self.total_slots
-        # Requests that were assigned view-local slots but not committed
-        # must become acceptable again (clients retransmit them).
-        self._queued_ids = {
-            signed.payload.request_id() for signed in self.pending
-        }
-        self.host.log.append(
-            self.host.now, self.pid, "xp.viewchange",
-            view=target, quorum=tuple(sorted(self.policy.quorum_of(target))),
-        )
-        self._obs.span(SPAN_VIEW_CHANGE, self.pid, self.host.now, view=target)
-        if self.host.fd is not None:
-            # Section V-B: during view change processes may legitimately
-            # stop sending expected normal-case messages.
-            self.host.fd.cancel(group=FD_GROUP)
-        vc_body = ViewChangePayload(
-            new_view=target,
-            committed=tuple(self.executed_certs),
-            prepared=prepared,
-            checkpoint=self.checkpoint[0] if self.checkpoint else None,
-            snapshot=self.checkpoint[1] if self.checkpoint else None,
-        )
-        signed = self.host.authenticator.sign(vc_body)
-        for replica in range(1, self.n + 1):
-            if replica != self.pid:
-                self.host.send(replica, KIND_VIEWCHANGE, signed)
-        self._record_viewchange(self.pid, vc_body)
-        if not self.is_leader and self.pid in self.quorum:
-            self._expect_newview(target)
-
-    def _prepared_entries(self) -> Tuple[Tuple[int, SignedMessage], ...]:
-        entries = []
-        for slot in sorted(self.slots):
-            state = self.slots[slot]
-            if state.prepare is not None and not state.committed:
-                entries.append((slot, state.prepare))
-        return tuple(entries)
-
-    def _expect_newview(self, view: int) -> None:
-        if self.host.fd is None:
-            return
-        leader = self.policy.leader_of(view)
-
-        def match(kind: str, payload: Any) -> bool:
-            return (
-                kind == KIND_NEWVIEW
-                and isinstance(payload, SignedMessage)
-                and payload.signer == leader
-                and isinstance(payload.payload, NewViewPayload)
-                and payload.payload.view == view
-            )
-
-        self.host.fd.expect(
-            source=leader, predicate=match, group=FD_GROUP, label=f"newview<-p{leader}@v{view}"
-        )
-
-    def _on_viewchange(self, kind: str, payload: Any, src: ProcessId) -> None:
-        if not isinstance(payload, SignedMessage):
-            return
-        if self.host.fd is None and not self._verify(payload):
-            return
-        body = payload.payload
-        if not isinstance(body, ViewChangePayload):
-            return
-        sender = payload.signer
-        if body.new_view > self.view and self._acceptable_view(body.new_view):
-            self._start_view_change(body.new_view)
-        self._record_viewchange(sender, body)
-
-    def _record_viewchange(self, sender: ProcessId, body: ViewChangePayload) -> None:
-        bucket = self._vc_received.setdefault(body.new_view, {})
-        bucket.setdefault(sender, body)
-        self._maybe_finish_view_change()
-
-    def _maybe_finish_view_change(self) -> None:
-        """New leader: once every quorum member reported, emit NEW-VIEW."""
-        if self.status != STATUS_VIEW_CHANGE or not self.is_leader:
-            return
-        if self._newview_done_for >= self.view:
-            return
-        bucket = self._vc_received.get(self.view, {})
-        if not all(member in bucket for member in self.quorum):
-            return
-        self._newview_done_for = self.view
-        # Pick the longest *certified* history: every entry — checkpoint
-        # included — must verify, so a Byzantine member cannot smuggle
-        # fabricated requests into the merged state.
-        best = ((), None, None)
-        best_length = -1
-        for vc in bucket.values():
-            length = self._history_flat_length(
-                vc.committed, vc.checkpoint, vc.snapshot
-            )
-            if length is not None and length > best_length:
-                best_length = length
-                best = (vc.committed, vc.checkpoint, vc.snapshot)
-        committed, checkpoint, snapshot = best
-        newview = self.host.authenticator.sign(
-            NewViewPayload(
-                view=self.view, committed=committed,
-                checkpoint=checkpoint, snapshot=snapshot,
-            )
-        )
-        for member in sorted(self.quorum - {self.pid}):
-            self.host.send(member, KIND_NEWVIEW, newview)
-        self._install_history(committed, checkpoint, snapshot)
-        self.status = STATUS_NORMAL
-        self.host.log.append(self.host.now, self.pid, "xp.newview", view=self.view)
-        # Re-propose uncommitted prepared requests reported by members.
-        reproposals: Dict[Tuple[int, int], SignedMessage] = {}
-        for vc in bucket.values():
-            for _, prepare in vc.prepared:
-                if not isinstance(prepare, SignedMessage) or not self._verify(prepare):
-                    continue
-                inner = prepare.payload
-                if not isinstance(inner, PreparePayload):
-                    continue
-                for signed_request in inner.signed_requests:
-                    if (
-                        not isinstance(signed_request, SignedMessage)
-                        or not self._verify(signed_request)
-                        or not isinstance(signed_request.payload, ClientRequest)
-                        or signed_request.signer != signed_request.payload.client
-                    ):
-                        continue
-                    rid = signed_request.payload.request_id()
-                    if rid not in self._executed_ids and rid not in self._queued_ids:
-                        reproposals[rid] = signed_request
-        for rid, signed_request in sorted(reproposals.items()):
-            # The request keeps its original client signature.
-            self._queued_ids.add(rid)
-            self.pending.append(signed_request)
-        self._propose_pending()
-
-    def _on_newview(self, kind: str, payload: Any, src: ProcessId) -> None:
-        if not isinstance(payload, SignedMessage):
-            return
-        if self.host.fd is None and not self._verify(payload):
-            return
-        body = payload.payload
-        if not isinstance(body, NewViewPayload):
-            return
-        if body.view != self.view or payload.signer != self.leader:
-            return
-        if self.status != STATUS_VIEW_CHANGE:
-            return
-        if self._history_flat_length(
-            body.committed, body.checkpoint, body.snapshot
-        ) is None:
-            # The leader signed a NEW-VIEW with an uncertified history:
-            # provable misbehaviour.
-            self._detect(payload.signer, "invalid-newview-certificates")
-            return
-        self._install_history(body.committed, body.checkpoint, body.snapshot)
-        self.status = STATUS_NORMAL
-        self.host.log.append(self.host.now, self.pid, "xp.newview", view=self.view)
-
-    def _history_flat_length(
-        self,
-        committed: Tuple[Any, ...],
-        checkpoint: Optional[Any],
-        snapshot: Optional[Any],
-    ) -> Optional[int]:
-        """Validate a (checkpoint, suffix) history; return its flat length.
-
-        ``None`` means invalid: a bad checkpoint certificate, a snapshot
-        that does not match the certified digest, or any suffix entry
-        without a valid commit certificate for its absolute slot.
-        """
-        base_slot = 0
-        base_requests = 0
-        if checkpoint is not None or snapshot is not None:
-            if not checkpoint_certificate_is_valid(
-                checkpoint, self.policy.quorum_of, self._verify
-            ):
-                return None
-            reference = checkpoint.payload
-            if (
-                not isinstance(snapshot, tuple)
-                or len(snapshot) != 5
-                or snapshot[0] not in ("xp-snapshot", "xp-snapshot-svc")
-                or snapshot[1] != reference.slot_count
-                or digest(snapshot) != reference.state_digest
-            ):
-                return None
-            base_slot = reference.slot_count
-            base_requests = (
-                snapshot[2]
-                if snapshot[0] == "xp-snapshot-svc"
-                else len(snapshot[2])
-            )
-        for index, cert in enumerate(committed):
-            if not isinstance(cert, CommitCertificate) or not certificate_is_valid(
-                cert, base_slot + index, self.policy.quorum_of, self._verify
-            ):
-                return None
-        suffix_requests = sum(
-            len(cert.prepare.payload.requests) for cert in committed
-        )
-        return base_requests + suffix_requests
-
-    def _adopt_snapshot(self, checkpoint: CheckpointCertificate, snapshot: Tuple) -> None:
-        """Jump to a certified checkpoint wholesale (state transfer)."""
-        if snapshot[0] == "xp-snapshot-svc":
-            # Compact service snapshot: state lives in the KV items (data
-            # plus per-client dedup table); the flat history is elided.
-            self.executed = []
-            self.executed_base = snapshot[2]
-            self.kv.restore(snapshot[3], [])
-            self._executed_ids = set()
-            self._reply_cache = {}
-        else:
-            canonicals = snapshot[2]
-            self.executed = [
-                ClientRequest(client=c[1], sequence=c[2], op=tuple(c[3]))
-                for c in canonicals
-            ]
-            self.kv.restore(snapshot[3], [tuple(c[3]) for c in canonicals])
-            self._executed_ids = {(c[1], c[2]) for c in canonicals}
-            self._reply_cache = dict(snapshot[4])
-        self.executed_certs = []
-        self.checkpoint_slot = snapshot[1]
-        self.checkpoint = (checkpoint, snapshot)
-        self.host.log.append(
-            self.host.now, self.pid, "xp.snapshot-adopted", slots=snapshot[1]
-        )
-
-    def _install_history(
-        self,
-        committed: Tuple[CommitCertificate, ...],
-        checkpoint: Optional[CheckpointCertificate] = None,
-        snapshot: Optional[Tuple] = None,
-    ) -> None:
-        """Adopt the merged certified history (longest-prefix semantics).
-
-        ``committed`` holds one certificate per *slot* (batch) after the
-        optional checkpoint; correct histories are batch-aligned, so
-        comparison happens on the flattened request sequence.  A replica
-        too far behind the checkpoint adopts the snapshot wholesale
-        (state transfer); otherwise missing whole batches are applied
-        (``_execute_one`` deduplicates by request id in any case).
-        """
-
-        def requests_of(cert: CommitCertificate):
-            return cert.prepare.payload.requests
-
-        base_slot = checkpoint.payload.slot_count if checkpoint is not None else 0
-        if self._apply_request is not None:
-            # Service mode: snapshots are compact (counts, not flat
-            # history), so longest-history comparison happens on request
-            # counts; per-request dedup during replay falls to the state
-            # machine's at-most-once table.
-            their_base = snapshot[2] if snapshot is not None else 0
-            theirs_len = their_base + sum(
-                len(requests_of(cert)) for cert in committed
-            )
-            mine_len = self.executed_base + len(self.executed)
-            if theirs_len > mine_len:
-                if checkpoint is not None and base_slot > self.total_slots:
-                    self._adopt_snapshot(checkpoint, snapshot)
-                for index, cert in enumerate(committed):
-                    absolute = base_slot + index
-                    if absolute < self.total_slots:
-                        continue
-                    self._apply_batch(requests_of(cert), cert)
-            self.next_slot = self.total_slots
-            self._execution_cursor = self.total_slots
-            return
-        snapshot_canonicals = snapshot[2] if snapshot is not None else ()
-        mine = tuple(request.canonical() for request in self.executed)
-        theirs = tuple(snapshot_canonicals) + tuple(
-            request.canonical() for cert in committed for request in requests_of(cert)
-        )
-        if len(theirs) <= len(mine):
-            if theirs != mine[: len(theirs)]:
-                self.host.log.append(self.host.now, self.pid, "xp.divergence")
-            self.next_slot = self.total_slots
-            self._execution_cursor = self.total_slots
-            return
-        if theirs[: len(mine)] != mine:
-            self.host.log.append(self.host.now, self.pid, "xp.divergence")
-        if checkpoint is not None and base_slot > self.total_slots:
-            self._adopt_snapshot(checkpoint, snapshot)
-        for index, cert in enumerate(committed):
-            absolute = base_slot + index
-            if absolute < self.total_slots:
-                continue
-            self._apply_batch(requests_of(cert), cert)
-        self.next_slot = self.total_slots
-        self._execution_cursor = self.total_slots
+        return CommitCertificate(prepare=state.proposal, commits=tuple(commits))

@@ -17,10 +17,10 @@ from repro.failures.adversary import Adversary
 from repro.fd.detector import FailureDetector
 from repro.fd.heartbeat import HeartbeatModule
 from repro.fd.timers import TimeoutPolicy
+from repro.protocol.policy import EnumerationPolicy, QuorumPolicy, SelectionPolicy
 from repro.sim.runtime import Simulation, SimulationConfig
 from repro.util.errors import ConfigurationError
 from repro.xpaxos.client import XPaxosClient
-from repro.xpaxos.quorum_policy import EnumerationPolicy, QuorumPolicy, SelectionPolicy
 from repro.xpaxos.replica import XPaxosReplica
 
 MODE_SELECTION = "selection"

@@ -184,6 +184,38 @@ def test_cancelled_timer_does_not_fire():
     assert asyncio.run(scenario()) == []
 
 
+def test_host_forgets_fired_and_cancelled_timers():
+    """Only pending timers are tracked; crash still cancels all of them."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        host = NetHost(
+            1, PeerManager(1, rng_seed=0), Authenticator(KeyRegistry(1), 1),
+            NetTimerService(loop),
+        )
+        fired = []
+        high_water = 0
+        for _ in range(10):
+            for i in range(1000):
+                handle = host.set_timer(0.0, lambda: fired.append(1))
+                if i % 2:
+                    handle.cancel()
+            high_water = max(high_water, len(host._timers))
+            await asyncio.sleep(0.01)
+        settled = len(host._timers)
+        pending = [host.set_timer(0.05, lambda: fired.append("late")) for _ in range(3)]
+        host.crash()
+        await asyncio.sleep(0.1)
+        await host.manager.close()
+        return fired, high_water, settled, pending, len(host._timers)
+
+    fired, high_water, settled, pending, after_crash = asyncio.run(scenario())
+    assert fired == [1] * 5000
+    assert high_water <= 1000 and settled == 0
+    assert not any(handle.active or handle.fired for handle in pending)
+    assert after_crash == 0
+
+
 def test_backpressure_drops_and_counts():
     async def scenario():
         manager = PeerManager(

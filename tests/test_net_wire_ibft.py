@@ -1,10 +1,11 @@
 """IBFT payloads over both wire codecs: type-identical round-trips.
 
-The IBFT backend's five message kinds must survive V1 (JSON) and V2
+The IBFT backend's message kinds must survive V1 (JSON) and V2
 (binary) framing with enough type fidelity that protocol signatures
 still verify on the decoded objects — votes stay digest-only strings,
-certificates keep their nested signed messages, and round-change
-history remains absolute (no checkpoint layer to lean on).
+certificates keep their nested signed messages, and round changes carry
+the shared state-transfer payloads (checkpoint plus certified suffix)
+under IBFT's own kinds with IBFT certificates inside.
 
 Plain per-kind round-trips (NEW-ROUND, the kind-id pins) live in
 ``test_net_wire_golden.py``, which covers every registered kind; the
@@ -31,9 +32,13 @@ from repro.ibft.messages import (
     IbftCommitPayload,
     IbftPreparePayload,
     PrePreparePayload,
-    RoundChangePayload,
 )
-from repro.xpaxos.messages import ClientRequest
+from repro.xpaxos.messages import (
+    CheckpointCertificate,
+    CheckpointPayload,
+    ClientRequest,
+    ViewChangePayload,
+)
 
 N = 5
 
@@ -121,30 +126,42 @@ class TestIbftRoundTrips:
                 got.preprepare.payload.request_digest()
 
     def test_round_change_full_round_trip(self, auths, version):
-        payload = RoundChangePayload(
-            new_round=6,
+        checkpoint = CheckpointCertificate(votes=tuple(
+            auths[pid].sign(CheckpointPayload(view=0, slot_count=16, state_digest="cd" * 32))
+            for pid in (1, 2, 3)
+        ))
+        snapshot = ("xp-snapshot-svc", 16, 40, (("k", 1),), ())
+        payload = ViewChangePayload(
+            new_view=6,
             committed=(
-                _certificate(auths, round=0, slot=0),
-                _certificate(auths, round=0, slot=1),
+                _certificate(auths, round=0, slot=16),
+                _certificate(auths, round=0, slot=17),
             ),
-            prepared=((2, _signed_preprepare(auths, round=0, slot=2)),),
+            prepared=((18, _signed_preprepare(auths, round=0, slot=18)),),
+            checkpoint=checkpoint,
+            snapshot=snapshot,
         )
         signed = auths[2].sign(payload)
         got = _roundtrip(KIND_ROUNDCHANGE, signed, 2, version)
         assert got == signed
         assert auths[1].verify(got)
         inner = got.payload
-        assert isinstance(inner, RoundChangePayload)
+        assert isinstance(inner, ViewChangePayload)
         assert isinstance(inner.committed[0], IbftCommitCertificate)
-        assert isinstance(inner.prepared[0], tuple) and inner.prepared[0][0] == 2
+        assert isinstance(inner.prepared[0], tuple) and inner.prepared[0][0] == 18
+        assert isinstance(inner.prepared[0][1].payload, PrePreparePayload)
+        assert inner.snapshot == snapshot and isinstance(inner.snapshot, tuple)
+        for vote in inner.checkpoint.votes:
+            assert auths[4].verify(vote)
 
     def test_round_change_with_empty_history(self, auths, version):
-        payload = RoundChangePayload(new_round=1, committed=(), prepared=())
+        payload = ViewChangePayload(new_view=1, committed=(), prepared=())
         signed = auths[4].sign(payload)
         got = _roundtrip(KIND_ROUNDCHANGE, signed, 4, version)
         assert got == signed
         assert got.payload.committed == ()
         assert got.payload.prepared == ()
+        assert got.payload.checkpoint is None and got.payload.snapshot is None
 
     def test_tampered_vote_fails_verification(self, auths, version):
         wanted = _signed_preprepare(auths).payload.request_digest()
@@ -184,7 +201,7 @@ class TestStrictDecoding:
     def test_v2_truncated_round_change_raises(self, auths=None):
         registry = KeyRegistry(N + 2)
         auth = Authenticator(registry, 1)
-        payload = RoundChangePayload(new_round=1, committed=(), prepared=())
+        payload = ViewChangePayload(new_view=1, committed=(), prepared=())
         signed = auth.sign(payload)
         body = encode_frame_body(KIND_ROUNDCHANGE, signed, 1, version=WIRE_V2)
         for cut in (len(body) // 2, len(body) - 1):

@@ -6,18 +6,34 @@ contract under test is the quorum-consumption side of the paper's
 interface: replicas execute client operations safely, adopt exactly the
 quorums Quorum Selection issues, re-stabilize after losing their leader,
 survive crash/recovery churn, and converge under chaotic networks —
-independent of whether the decision engine is XPaxos's view-change
-pipeline or IBFT's three-phase rounds.
+independent of whether the vote phase is XPaxos's two-phase COMMITs or
+IBFT's three-phase digest votes.  Everything the shared
+:class:`~repro.protocol.replica.ReplicaCore` owns — checkpoints and
+snapshot state transfer, the batch window, decision-change bookkeeping —
+is checked here once per backend.
 """
 
 import pytest
 
+from repro.ibft.messages import KIND_ROUNDCHANGE
 from repro.net.parity import thm3_bound
+from repro.net.wire import encode_frame_body
 from repro.protocol.backend import backend_names
 from repro.protocol.system import build_backend_system
+from repro.service.loadgen import LoadGenerator, Workload
 from repro.sim.network import ChaosConfig
+from repro.sim.worlds import build_kv_service_world
+from repro.util.errors import ConfigurationError
+from repro.xpaxos.messages import (
+    KIND_REQUEST,
+    KIND_VIEWCHANGE,
+    ClientRequest,
+    ViewChangePayload,
+)
 
 PROTOCOLS = sorted(backend_names())
+#: Every backend's decision-change report kind (each backend uses one).
+CHANGE_KINDS = (KIND_VIEWCHANGE, KIND_ROUNDCHANGE)
 
 
 @pytest.fixture(params=PROTOCOLS)
@@ -167,3 +183,189 @@ class TestChaosConvergence:
         # processes, voiding the <=f-faults premise.  What must survive
         # chaos is safety plus the adoption contract.
         assert_quorum_adoption_matches_qs(system)
+
+
+def checkpointed_leader_kill(protocol):
+    """Two clients, a checkpoint every 5 slots, the leader dies at t=60."""
+    system = build_backend_system(
+        protocol, n=5, f=2, clients=2, seed=9,
+        checkpoint_interval=5, client_think_time=3.0,
+    )
+    system.adversary.crash(1, at=60.0)
+    system.run(1200.0)
+    return system
+
+
+class TestCheckpointing:
+    """Log compaction and snapshot state transfer live in the shared core."""
+
+    def test_compaction_bounds_the_certificate_log(self, protocol):
+        system = build_backend_system(
+            protocol, n=5, f=2, clients=2, seed=7, checkpoint_interval=10
+        )
+        system.run(600.0)
+        assert system.total_completed() == 40
+        for pid in sorted(system.observe(1).quorum):
+            replica = system.replicas[pid]
+            assert system.observe(pid).checkpoints >= 3
+            assert replica.checkpoint_slot >= 30
+            assert len(replica.executed_certs) <= 10
+            assert replica.total_slots == 40
+            assert len(replica.executed) == 40  # flat history stays whole
+
+    def test_no_checkpoints_unless_asked(self, protocol):
+        system = build_backend_system(protocol, n=5, f=2, clients=1, seed=7)
+        system.run(300.0)
+        replica = system.replicas[1]
+        assert system.observe(1).checkpoints == 0 and replica.checkpoint is None
+        assert len(replica.executed_certs) == len(replica.executed) == 20
+
+    def test_interval_zero_is_rejected(self, protocol):
+        with pytest.raises(ConfigurationError):
+            build_backend_system(protocol, n=5, f=2, checkpoint_interval=0)
+
+    def test_lagging_replica_adopts_a_snapshot(self, protocol):
+        # p4/p5 were passive in decision 0; joining the next quorum they
+        # catch up through the certified snapshot, not a slot-0 replay.
+        system = checkpointed_leader_kill(protocol)
+        assert system.total_completed() == 40
+        assert system.histories_consistent()
+        kinds = [event.kind.partition(".")[2] for event in system.sim.log]
+        assert "snapshot-adopted" in kinds and "divergence" not in kinds
+        current = [r for r in system.correct_replicas() if r.in_quorum]
+        assert {len(r.executed) for r in current} == {40}
+        assert len({r.kv.state_digest() for r in current}) == 1
+
+    def test_state_transfer_payload_is_flat_in_total_requests(self, protocol):
+        """D1: service-mode decision-change frames do not grow with load."""
+        small, small_world = decision_change_frame_size(protocol, duration=150.0)
+        large, large_world = decision_change_frame_size(protocol, duration=600.0)
+        few, many = (
+            max(replica.kv.applied_requests for replica in world.replicas.values())
+            for world in (small_world, large_world)
+        )
+        assert many >= 3.5 * few > 0
+        replica = large_world.replicas[2]
+        certificate = max(
+            len(encode_frame_body("state", cert, 2)) for cert in replica.executed_certs
+        )
+        assert large <= small + 16 * certificate
+        for world in (small_world, large_world):
+            for member in (2, 3):
+                assert world.replicas[member].checkpoints_made > 0
+                assert len(world.replicas[member].executed) <= 16 * 4  # interval x batch
+
+
+def decision_change_frame_size(protocol, duration):
+    """Largest VIEW-/ROUND-CHANGE frame after ``duration`` of service load.
+
+    Closed-loop KV load with a checkpoint every 16 slots, then the
+    leader dies; p2 records the encoded size of every report it is sent.
+    """
+    world = build_kv_service_world(
+        n=4, f=1, clients=8, seed=3, batch_size=4, batch_window=0.5,
+        checkpoint_interval=16, protocol=protocol,
+    )
+    sizes = []
+    for change_kind in CHANGE_KINDS:
+        world.sim.host(2).subscribe(
+            change_kind,
+            lambda kind, payload, src: sizes.append(len(encode_frame_body(kind, payload, src))),
+        )
+    generator = LoadGenerator(
+        world.gen_host, list(world.clients.values()), Workload(seed=3), duration=duration
+    )
+    world.sim.scheduler.schedule(0.0, generator.start, label="load-start")
+    world.adversary.crash(1, at=duration)
+    world.sim.run_until(duration + 120.0)
+    assert generator.completed == generator.offered
+    assert world.replicas[2].view > 0
+    return max(sizes), world
+
+
+def signed_request(system, sequence=0):
+    client = max(system.clients)
+    request = ClientRequest(client=client, sequence=sequence, op=("put", "k", sequence))
+    return client, system.sim.host(client).authenticator.sign(request)
+
+
+class TestBatchWindow:
+    """The leader's flush timer across decision changes and crashes."""
+
+    def test_window_closing_mid_change_proposes_nothing(self, protocol):
+        """A flush firing during a decision change must not sign a proposal.
+
+        p3 dies, QS moves {1,2,3} -> {1,2,4}: p1 stays leader.  A request
+        reaches p1 the instant before it starts the change (2-unit
+        window); p4's report is 5 units late, so the window closes while
+        the change is in flight.  A proposal signed then is dropped by
+        every member and its COMMIT expectations indict correct peers.
+        """
+        system = build_backend_system(
+            protocol, n=5, f=2, clients=1, client_ops=[[]], seed=3,
+            batch_size=8, batch_window=2.0,
+        )
+        leader = system.replicas[1]
+        client, request = signed_request(system)
+        # Registered before the replica's own listener: runs first.
+        system.qs_modules[1].add_quorum_listener(
+            lambda event: system.sim.host(1).deliver(KIND_REQUEST, request, client)
+        )
+        system.adversary.delay_links(4, 5.0, dsts={1}, kinds=set(CHANGE_KINDS))
+        system.adversary.crash(3, at=20.0)
+        system.run(400.0)
+
+        status = system.observe(1)
+        assert status.quorum == frozenset({1, 2, 4}) and status.status == "normal"
+        assert status.decision_changes == 1
+        assert [r.request_id() for r in leader.executed] == [(client, 0)]
+        assert leader.pending == [] and leader.detected_events == []
+        for pid in (1, 2, 4, 5):
+            assert system.qs_modules[pid].total_quorums_issued() == 1
+
+    def test_short_crash_does_not_wedge_the_window(self, protocol):
+        """Crash cancels the flush timer; recovery must re-arm it."""
+        system = build_backend_system(
+            protocol, n=3, f=1, clients=1, client_ops=[[("put", "k", 1)]], seed=1,
+            batch_size=8, batch_window=50.0,
+        )
+        # Between two heartbeats: nobody notices, p1 keeps leading.
+        system.sim.at(21.0, system.sim.host(1).crash, label="crash-p1")
+        system.sim.at(22.0, system.sim.host(1).recover, label="recover-p1")
+        system.run(400.0)
+
+        assert system.observe(1).decision_number == 0
+        assert system.total_completed() == 1
+        assert system.replicas[1].pending == []
+
+
+class TestDecisionChangeReportsStayBounded:
+    def test_old_reports_are_dropped_across_leader_kills(self, protocol):
+        system = build_backend_system(protocol, n=5, f=2, clients=1, seed=3)
+        system.adversary.crash(1, at=40.0)
+        system.adversary.crash(2, at=300.0)
+        system.run(900.0)
+        assert system.total_completed() == 20
+        for replica in system.correct_replicas():
+            assert replica.view_changes >= 2
+            reports = replica._vc_received
+            assert len(reports) <= system.n
+            assert all(report.new_view >= replica.view for report in reports.values())
+
+    def test_one_signer_cannot_park_a_thousand_reports(self, protocol):
+        system = build_backend_system(protocol, n=4, f=1, clients=0, seed=3)
+        system.run(30.0)
+        victim = system.replicas[1]
+        sign = system.sim.host(4).authenticator.sign
+
+        def report(view):
+            signed = sign(ViewChangePayload(new_view=view, committed=(), prepared=()))
+            for kind in CHANGE_KINDS:  # the victim subscribes to its own
+                system.sim.host(1).deliver(kind, signed, 4)
+
+        for view in range(5, 1005):
+            report(view)
+        assert len(victim._vc_received) <= system.n
+        assert victim._vc_received[4].new_view == 1004
+        report(7)  # a stale report never displaces it
+        assert victim._vc_received[4].new_view == 1004

@@ -8,8 +8,8 @@ from reply views.
 
 from repro.crypto.authenticator import Authenticator
 from repro.crypto.keys import KeyRegistry
+from repro.protocol.enumeration import leader_of_view
 from repro.service.client import ServiceClient
-from repro.xpaxos.enumeration import leader_of_view
 from repro.xpaxos.messages import KIND_REPLY, KIND_REQUEST, ReplyPayload
 
 N, F = 4, 1

@@ -102,6 +102,21 @@ class TestTimers:
         with pytest.raises(SimulationError):
             sim.host(1).set_timer(-1.0, lambda: None)
 
+    def test_host_forgets_fired_and_cancelled_timers(self):
+        sim = make_sim()
+        sim.start()
+        host = sim.host(1)
+        fired = []
+        for i in range(20_000):
+            handle = host.set_timer(1.0, lambda: fired.append(1))
+            if i % 2:
+                handle.cancel()
+            sim.run_until(sim.now + 0.002)
+            assert len(host._timers) <= 250  # one delay's worth of live ones
+        sim.run_until(sim.now + 2.0)
+        assert len(fired) == 10_000
+        assert len(host._timers) == 0
+
 
 class TestCrash:
     def test_crashed_host_sends_nothing(self):
@@ -118,9 +133,12 @@ class TestCrash:
         fired = []
         sim.start()
         sim.host(1).set_timer(5.0, lambda: fired.append(1))
+        handles = [sim.host(1).set_timer(6.0 + i, lambda: fired.append(1)) for i in range(3)]
         sim.at(1.0, lambda: sim.host(1).crash())
         sim.run_until(10.0)
         assert fired == []
+        assert not any(handle.active or handle.fired for handle in handles)
+        assert len(sim.host(1)._timers) == 0
 
     def test_crash_logged(self):
         sim = make_sim()

@@ -10,7 +10,7 @@ end.
 import pytest
 
 from repro.crypto.authenticator import SignedMessage
-from repro.xpaxos.enumeration import quorum_for_view
+from repro.protocol.enumeration import quorum_for_view
 from repro.xpaxos.messages import (
     KIND_VIEWCHANGE,
     ClientRequest,

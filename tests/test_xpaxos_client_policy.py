@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.xpaxos.enumeration import quorum_for_view
-from repro.xpaxos.quorum_policy import EnumerationPolicy, SelectionPolicy
+from repro.protocol.enumeration import quorum_for_view
+from repro.protocol.policy import EnumerationPolicy, SelectionPolicy
 from repro.xpaxos.system import build_system
 
 
@@ -162,7 +162,7 @@ class TestClientDiagnostics:
         # After a leader crash the client broadcasts on timeout, learns the
         # new view from replies, and sends subsequent requests straight to
         # the new leader — no broadcast, no retry.
-        from repro.xpaxos.enumeration import leader_of_view
+        from repro.protocol.enumeration import leader_of_view
 
         system = build_system(n=5, f=2, mode="selection", clients=1, seed=9)
         system.adversary.crash(1, at=30.0)

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.errors import ConfigurationError
-from repro.xpaxos.enumeration import (
+from repro.protocol.enumeration import (
     leader_of_view,
     quorum_for_view,
     rank_of_quorum,
     total_quorums,
     view_for_quorum,
 )
+from repro.util.errors import ConfigurationError
 
 
 class TestTotals:

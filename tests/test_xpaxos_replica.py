@@ -1,5 +1,7 @@
 """Tests for the XPaxos replica: normal case, Fig. 2/3, detection, views."""
 
+import hashlib
+
 import pytest
 
 from repro.crypto.authenticator import SignedMessage
@@ -218,3 +220,42 @@ class TestViewChanges:
         assert system.total_completed() == 20
         assert system.histories_consistent()
         assert system.replicas[3].quorum == frozenset({3, 4, 5})
+
+
+class TestEventSequencePins:
+    """SHA-256 of the ``xp.*`` event sequence, recorded before the replica
+    was split into the shared core plus a vote phase (ISSUE 14): same
+    events, same order, same times, same payloads."""
+
+    SCENARIOS = {
+        "fault-free": (
+            dict(n=5, f=2, clients=2, seed=7), None, 600.0,
+            "cbc41431b2cadda7eba632bf163457356b5288df7a73d2357407c240bfd28db5",
+        ),
+        "leader-kill": (
+            dict(n=5, f=2, mode="selection", clients=2, seed=9, client_think_time=3.0),
+            60.0, 1200.0,
+            "a21b9ca4d7c962573dcd27e079638b00443de29f7013e308cea6890944fd413f",
+        ),
+        "checkpoint-and-state-transfer": (
+            dict(n=5, f=2, mode="selection", clients=2, seed=9,
+                 checkpoint_interval=5, client_think_time=3.0),
+            60.0, 1200.0,
+            "926ec7f669cd806f036f7a72cd9642497614f9bb5c25c2a434a5793360ab8c52",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_event_sequence_unchanged(self, name):
+        kwargs, kill_leader_at, until, pinned = self.SCENARIOS[name]
+        system = build_system(batch_window=0.0, **kwargs)
+        if kill_leader_at is not None:
+            system.adversary.crash(1, at=kill_leader_at)
+        system.run(until)
+        sequence = hashlib.sha256()
+        for event in system.sim.log:
+            if event.kind.startswith("xp."):
+                sequence.update(repr(
+                    (event.time, event.process, event.kind, sorted(event.payload.items()))
+                ).encode())
+        assert sequence.hexdigest() == pinned

@@ -51,9 +51,7 @@ def build_cases() -> List[Tuple[str, str, Any, int]]:
         IbftCommitCertificate,
         IbftCommitPayload,
         IbftPreparePayload,
-        NewRoundPayload,
         PrePreparePayload,
-        RoundChangePayload,
     )
     from repro.xpaxos.messages import (
         CheckpointCertificate,
@@ -181,16 +179,23 @@ def build_cases() -> List[Tuple[str, str, Any, int]]:
         ("ibft.commit", "ibft.commit", auth[3].sign(
             IbftCommitPayload(round=2, slot=9, request_digest=wanted)), 3),
         ("ibft.certificate", "ibft.state", ibft_certificate(1, 4), 1),
-        ("ibft.roundchange", "ibft.roundchange", auth[2].sign(RoundChangePayload(
-            new_round=6,
+        # State transfer and checkpoints ride the shared payloads under
+        # IBFT's own kinds, carrying IBFT certificates.
+        ("ibft.roundchange", "ibft.roundchange", auth[2].sign(ViewChangePayload(
+            new_view=6,
             committed=(ibft_certificate(0, 0), ibft_certificate(0, 1)),
-            prepared=((2, preprepare(0, 2)),))), 2),
+            prepared=((2, preprepare(0, 2)),),
+            checkpoint=checkpoint_certificate(),
+            snapshot=snapshot)), 2),
         ("ibft.roundchange.empty", "ibft.roundchange", auth[4].sign(
-            RoundChangePayload(new_round=1, committed=(), prepared=())), 4),
-        ("ibft.newround", "ibft.newround", auth[2].sign(
-            NewRoundPayload(round=6, committed=(ibft_certificate(),))), 2),
+            ViewChangePayload(new_view=1, committed=(), prepared=())), 4),
+        ("ibft.newround", "ibft.newround", auth[2].sign(NewViewPayload(
+            view=6, committed=(ibft_certificate(),),
+            checkpoint=checkpoint_certificate(), snapshot=snapshot)), 2),
         ("ibft.newround.empty", "ibft.newround", auth[2].sign(
-            NewRoundPayload(round=0, committed=())), 2),
+            NewViewPayload(view=0, committed=(), checkpoint=None, snapshot=None)), 2),
+        ("ibft.checkpoint", "ibft.checkpoint", auth[1].sign(
+            CheckpointPayload(view=2, slot_count=128, state_digest="ab" * 32)), 1),
     ]
 
 
