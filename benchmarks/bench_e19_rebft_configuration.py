@@ -6,12 +6,13 @@ The introduction's Distler et al. argument: PBFT-class systems
 *if* something maintains that quorum as failures occur.  Quorum
 Selection is that something.  This experiment runs the generic
 active-quorum replica at ``n = 3f+1`` under Quorum Selection and
-compares messaging with full-broadcast PBFT, then drives it through a
-crash plus a per-link omission to show the quorum maintenance working.
+compares messaging with the full-broadcast three-phase pattern (backend
+``ibft`` on selector ``all``), then drives it through a crash plus a
+per-link omission to show the quorum maintenance working.
 """
 
 from repro.analysis.report import Table
-from repro.baselines.pbft import build_pbft_cluster
+from repro.protocol.system import build_backend_system
 from repro.xpaxos.messages import KIND_COMMIT
 from repro.xpaxos.system import build_system
 
@@ -23,10 +24,13 @@ REQUESTS = 40
 
 
 def run_pbft_full():
-    cluster = build_pbft_cluster(n=N, f=F, clients=1, requests_per_client=REQUESTS, seed=7)
-    cluster.run(40.0 * REQUESTS)
-    assert cluster.total_completed() == REQUESTS
-    return cluster.inter_replica_messages() / REQUESTS
+    system = build_backend_system(
+        "ibft", N, F, "all", clients=1, seed=7,
+        client_ops=[[("put", f"k{i}", i) for i in range(REQUESTS)]],
+    )
+    system.run(40.0 * REQUESTS)
+    assert system.total_completed() == REQUESTS
+    return system.protocol_message_costs()["per_decision"]
 
 
 def run_qs_quorum_fault_free():

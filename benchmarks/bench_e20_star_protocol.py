@@ -15,8 +15,7 @@ application and measures:
 from repro.analysis.bounds import thm9_per_epoch_bound
 from repro.analysis.report import Table
 from repro.failures.strategies import FalseSuspicionInjector
-from repro.leadercentric import build_star_system
-from repro.xpaxos.system import build_system
+from repro.protocol.system import build_backend_system
 
 from .conftest import emit, once
 
@@ -26,28 +25,31 @@ REQUESTS = 20
 
 
 def run_message_comparison():
-    star = build_star_system(n=N, f=F, clients=1, seed=7,
-                             client_ops=[[("put", f"k{i}", i) for i in range(REQUESTS)]])
-    star.run(600.0)
-    assert star.total_completed() == REQUESTS
-    xp = build_system(n=N, f=F, mode="selection", clients=1, seed=7,
-                      client_ops=[[("put", f"k{i}", i) for i in range(REQUESTS)]])
-    xp.run(600.0)
-    assert xp.total_completed() == REQUESTS
-    xp_msgs = xp.sim.stats.total_sent(["xp.prepare", "xp.commit"])
-    return star.star_messages() / REQUESTS, xp_msgs / REQUESTS
+    """Both vote phases on Follower Selection, same workload."""
+    per_decision = {}
+    for protocol in ("star", "xpaxos"):
+        system = build_backend_system(
+            protocol, N, F, "fs", clients=1, seed=7,
+            client_ops=[[("put", f"k{i}", i) for i in range(REQUESTS)]],
+        )
+        system.run(600.0)
+        assert system.total_completed() == REQUESTS
+        per_decision[protocol] = system.protocol_message_costs()["per_decision"]
+    return per_decision["star"], per_decision["xpaxos"]
 
 
 def run_leader_hunt():
-    system = build_star_system(n=N, f=F, clients=1, seed=9, client_retry=20.0,
-                               client_ops=[[("put", f"h{i}", i) for i in range(REQUESTS)]])
+    system = build_backend_system(
+        "star", N, F, "fs", clients=1, seed=9, client_retry=20.0,
+        client_ops=[[("put", f"h{i}", i) for i in range(REQUESTS)]],
+    )
     faulty = {6, 7}
     for pid in faulty:
         system.adversary.corrupt(pid)
     fired = []
 
     def hunt():
-        modules = system.fs_modules
+        modules = system.qs_modules
         correct = [modules[p] for p in range(1, N + 1) if p not in faulty]
         leaders = {m.leader for m in correct}
         if len(leaders) == 1 and all(m.stable for m in correct):
@@ -70,7 +72,7 @@ def test_e20_star_protocol(benchmark):
 
     (star_msgs, xp_msgs), (hunted, fired) = once(benchmark, run_all)
 
-    reconfigurations = max(r.reconfigurations for r in hunted.correct_replicas())
+    reconfigurations = max(r.view_changes for r in hunted.correct_replicas())
     table = Table(
         ["metric", "value"],
         title=f"E20 — star protocol on Follower Selection (n={N}, f={F}, q={N - F})",

@@ -94,7 +94,7 @@ def run_stabilization_case(protocol: str, n: int = STAB_N, f: int = STAB_F,
     """Kill the initial leader; measure time back to a stable live quorum."""
     system = build_backend_system(protocol, n=n, f=f, clients=1, seed=seed,
                                   client_retry=20.0)
-    victim = min(system.replicas[1].policy.quorum_of(0))
+    victim = system.replicas[1].selector.leader_of(0)
     system.adversary.crash(victim, at=KILL_AT)
 
     def stabilized() -> bool:

@@ -14,8 +14,11 @@ importable directly for everything else:
 - :mod:`repro.core` — Quorum Selection (Alg. 1) and Follower Selection
   (Alg. 2), plus the extension modules.
 - :mod:`repro.failures` — fault injection and adversary strategies.
-- :mod:`repro.xpaxos` — the XPaxos substrate with both quorum policies.
-- :mod:`repro.baselines` — PBFT-pattern and BChain-lite baselines.
+- :mod:`repro.protocol` — the replica core, the selectors (``qs``,
+  ``enum``, ``fs``, ``all``) and the one system builder; the vote phases
+  on it are :mod:`repro.xpaxos`, :mod:`repro.ibft` (PBFT's pattern on
+  ``all``) and :mod:`repro.leadercentric` (the star protocol).
+- :mod:`repro.baselines` — BChain-lite baselines.
 - :mod:`repro.analysis` — bounds, worst-case search, experiment runners.
 """
 

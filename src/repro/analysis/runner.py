@@ -24,7 +24,8 @@ from repro.fd.detector import FailureDetector
 from repro.fd.heartbeat import HeartbeatModule
 from repro.sim.runtime import Simulation, SimulationConfig
 from repro.util.errors import ConfigurationError
-from repro.xpaxos.system import XPaxosSystem, build_system
+from repro.protocol.system import ProtocolSystem, build_backend_system
+from repro.xpaxos.system import build_system
 
 
 @dataclass
@@ -208,8 +209,8 @@ def _has_suspicion(modules: Dict[int, QuorumSelectionModule], a: int, b: int) ->
 class ChurnComparison:
     """E5/E8 outcome: selection vs enumeration under the same faults."""
 
-    selection: XPaxosSystem
-    enumeration: XPaxosSystem
+    selection: ProtocolSystem
+    enumeration: ProtocolSystem
 
     def view_changes(self) -> Tuple[int, int]:
         sel = max(
@@ -280,38 +281,31 @@ def measure_message_savings(
     seed: int = 1,
     two_f_plus_one: bool = False,
 ) -> MessageSavings:
-    """E7: inter-replica messages per request, full vs active-quorum PBFT.
+    """E7: inter-replica messages per request, all replicas vs active quorum.
 
-    With ``two_f_plus_one=True`` the system is sized ``n = 2f + 1`` (the
-    trusted-component/XFT family from the introduction, which needs only
-    ``n - f = f + 1`` matching votes) and the active quorum has ``f + 1``
-    members; the expected per-broadcast drop is then ~1/2 instead of ~1/3.
+    The three-phase pattern (the ``ibft`` backend) runs once on selector
+    ``all`` — broadcast to all ``n``, proceed on ``n - f`` matching votes
+    — and once on ``qs``, inside the ``n - f`` selected replicas.  With
+    ``two_f_plus_one=True`` the system is sized ``n = 2f + 1`` (the
+    trusted-component/XFT family from the introduction) and the active
+    quorum has ``f + 1`` members; the expected per-broadcast drop is then
+    ~1/2 instead of ~1/3.
     """
-    from repro.baselines.pbft import build_pbft_cluster  # local: avoid cycle
-
-    if two_f_plus_one:
-        n = 2 * f + 1
-        active = range(1, f + 2)
-        thresholds = {"prepare_quorum": f, "commit_quorum": f + 1}
-    else:
-        n = 3 * f + 1
-        active = range(1, 2 * f + 2)
-        thresholds = {}
-    full = build_pbft_cluster(
-        n=n, f=f, clients=1, requests_per_client=requests, seed=seed, **thresholds
-    )
-    full.run(40.0 * requests)
-    restricted = build_pbft_cluster(
-        n=n, f=f, active=active, clients=1, requests_per_client=requests, seed=seed,
-        **thresholds,
-    )
-    restricted.run(40.0 * requests)
-    if full.total_completed() < requests or restricted.total_completed() < requests:
-        raise ConfigurationError("message-savings run did not complete its workload")
+    n = 2 * f + 1 if two_f_plus_one else 3 * f + 1
+    per_request = {}
+    for selector in ("all", "qs"):
+        system = build_backend_system(
+            "ibft", n, f, selector, clients=1, seed=seed,
+            client_ops=[[("put", f"k{i}", i) for i in range(requests)]],
+        )
+        system.run(40.0 * requests)
+        if system.total_completed() < requests:
+            raise ConfigurationError("message-savings run did not complete its workload")
+        per_request[selector] = system.protocol_message_costs()["total"] / requests
     return MessageSavings(
         f=f,
         n=n,
-        active_size=len(tuple(active)),
-        full_messages_per_request=full.inter_replica_messages() / requests,
-        active_messages_per_request=restricted.inter_replica_messages() / requests,
+        active_size=n - f,
+        full_messages_per_request=per_request["all"],
+        active_messages_per_request=per_request["qs"],
     )

@@ -1,18 +1,19 @@
 """Baseline BFT protocols used by the paper's comparisons.
 
-- :mod:`repro.baselines.pbft` — a PBFT-style normal-case protocol
-  (PRE-PREPARE / PREPARE / COMMIT, ``n = 3f + 1``), runnable either with
-  full broadcast (every replica participates) or restricted to an *active
-  quorum* of ``2f + 1`` well-functioning replicas, the configuration this
-  paper's introduction credits with dropping ~1/3 of inter-replica
-  messages (citing Distler et al.).
+- The PBFT-style pattern (PRE-PREPARE / PREPARE / COMMIT, broadcast to
+  all ``n``, proceed on ``n - f`` replies) is not a module here: it is
+  backend ``ibft`` on selector ``all``, against the same backend on
+  ``qs`` for the active-quorum configuration the paper's introduction
+  credits with dropping ~1/3 of inter-replica messages
+  (:func:`repro.protocol.system.build_backend_system`).
 - :mod:`repro.baselines.bchain` — a BChain-style chain-replication
   normal case with re-chaining on suspicion and an external standby pool,
   the other prior system the paper identifies as doing (unsatisfactory)
-  Quorum Selection.
+  Quorum Selection.  The chains stay outside the replica core: a chain
+  forwards hop by hop — no proposal answered by votes, no certificate —
+  so mounting one would put a topology branch into every core path.
 """
 
-from repro.baselines.pbft import PbftReplica, PbftClient, build_pbft_cluster, PbftCluster
 from repro.baselines.bchain import BChainReplica, BChainClient, build_bchain_cluster, BChainCluster
 from repro.baselines.bchain_cs import (
     BChainCsReplica,
@@ -22,10 +23,6 @@ from repro.baselines.bchain_cs import (
 )
 
 __all__ = [
-    "PbftReplica",
-    "PbftClient",
-    "build_pbft_cluster",
-    "PbftCluster",
     "BChainReplica",
     "BChainClient",
     "build_bchain_cluster",

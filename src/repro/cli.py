@@ -46,6 +46,7 @@ from repro.analysis.bounds import (
     thm9_per_epoch_bound,
 )
 from repro.analysis.report import Table
+from repro.protocol.backend import backend_names
 
 
 def _invalid(message: str) -> int:
@@ -874,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="service consensus batch window seconds (default 0.002)")
     node.add_argument("--checkpoint-interval", type=int, default=128,
                       help="service checkpoint every N slots (default 128)")
-    node.add_argument("--protocol", choices=("xpaxos", "ibft"), default="xpaxos",
+    node.add_argument("--protocol", choices=backend_names(), default="xpaxos",
                       help="protocol backend executing the service (default xpaxos)")
     node.set_defaults(func=_cmd_node)
 
@@ -884,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument("--runtime", choices=("sim", "live"), default="sim",
                          help="deterministic sim or live loopback cluster")
-    loadgen.add_argument("--protocol", choices=("xpaxos", "ibft"), default="xpaxos",
+    loadgen.add_argument("--protocol", choices=backend_names(), default="xpaxos",
                          help="protocol backend executing the service "
                               "(default xpaxos; single-deployment runs only)")
     loadgen.add_argument("--n", type=int, default=4, help="replicas (default 4)")

@@ -7,15 +7,17 @@ everyone broadcasts a ``COMMIT`` vote — with a ``ROUND-CHANGE``
 sub-protocol replacing a faulty round.  This package transplants that
 shape into the paper's XFT setting:
 
-- rounds map to quorums through the **shared** enumeration
-  (:mod:`repro.protocol.enumeration`) and the **shared** quorum policies
-  (:mod:`repro.protocol.policy`), so a ``<QUORUM, Q>`` event from the
-  unchanged Quorum Selection module drives IBFT round changes exactly
-  like XPaxos view changes — the property the differential suite pins;
-- the normal case runs inside the active quorum of ``q = n - f``
-  replicas and requires a vote from *every* member (XFT thresholds, not
-  IBFT's ``2f + 1`` of ``3f + 1`` — the FD detects silent members, and
-  Quorum Selection replaces them);
+- rounds map to leaders and quorums through the **shared** selectors
+  (:mod:`repro.protocol.selector`), so a ``<QUORUM, ...>`` event from
+  the unchanged Quorum / Follower Selection module drives IBFT round
+  changes exactly like XPaxos view changes — the property the
+  differential suite pins;
+- a phase completes on the replica core's vote rule, ``q = n - f``
+  matching votes of the round's quorum: inside an active quorum that is
+  a vote from *every* member (XFT thresholds, not IBFT's ``2f + 1`` of
+  ``3f + 1`` — the FD detects silent members, and the selection module
+  replaces them); on selector ``all`` it is the PBFT-style "broadcast
+  to all, proceed on ``n - f``" pattern;
 - expectation issuing follows Section V-A under the backend's own FD
   group: accepting a PRE-PREPARE expects PREPAREs, becoming prepared
   expects COMMITs, a vote overtaking its PRE-PREPARE expects the

@@ -2,33 +2,15 @@
 
 from __future__ import annotations
 
-from repro.ibft.messages import (
-    KIND_CHECKPOINT,
-    KIND_COMMIT,
-    KIND_NEWROUND,
-    KIND_PREPARE,
-    KIND_PREPREPARE,
-    KIND_ROUNDCHANGE,
-)
 from repro.ibft.replica import IbftReplica
 from repro.protocol.backend import ProtocolBackend, register_backend
 
 
 class IbftBackend(ProtocolBackend):
-    """Istanbul-style 3-phase agreement in the active quorum."""
+    """Istanbul-style 3-phase agreement among a quorum's members."""
 
     name = "ibft"
-    decision_term = IbftReplica.term
-    fd_group = IbftReplica.fd_group
     replica_class = IbftReplica
-    replica_kinds = (
-        KIND_PREPREPARE,
-        KIND_PREPARE,
-        KIND_COMMIT,
-        KIND_ROUNDCHANGE,
-        KIND_NEWROUND,
-        KIND_CHECKPOINT,
-    )
 
     def analytic_messages_per_decision(self, quorum_size: int) -> int:
         # PRE-PREPARE to q-1 members, q-1 PREPARE broadcasts to q-1

@@ -23,11 +23,12 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.crypto.authenticator import SignedMessage
-from repro.crypto.digests import digest
 from repro.util.wire_schema import (
     INT, STR, VALUE, register_kind_ids, tuple_of, wire_message,
 )
-from repro.xpaxos.messages import ClientRequest, is_client_request
+from repro.xpaxos.messages import (
+    ClientRequest, Proposal, canon, certified_proposal, votes_decide,
+)
 
 KIND_PREPREPARE = "ibft.preprepare"
 KIND_PREPARE = "ibft.prepare"
@@ -41,10 +42,6 @@ register_kind_ids({
 })
 
 
-def _enc(value: Any) -> Any:
-    return value.canonical() if hasattr(value, "canonical") else value
-
-
 class _RoundNumbered:
     """IBFT numbers decisions by ``round``; the shared replica core reads
     every normal-case message's decision number as ``view``."""
@@ -56,31 +53,14 @@ class _RoundNumbered:
 
 @wire_message(0x1B, "__ipp__", round=INT, slot=INT, signed_requests=tuple_of(VALUE))
 @dataclass(frozen=True)
-class PrePreparePayload(_RoundNumbered):
-    """``PRE-PREPARE(round, slot, signed_requests)`` from the round's leader.
+class PrePreparePayload(_RoundNumbered, Proposal):
+    """``PRE-PREPARE(round, slot, signed_requests)`` from the round's leader."""
 
-    ``signed_requests`` is a batch of client-signed request envelopes;
-    members verify every client signature before voting, so a leader
-    cannot fabricate operations (a forged request is a provable
-    commission failure).
-    """
+    label = "ibft-preprepare"
 
     round: int
     slot: int
     signed_requests: Tuple[SignedMessage, ...]  # client-signed ClientRequests
-
-    @property
-    def requests(self) -> Tuple[ClientRequest, ...]:
-        return tuple(sm.payload for sm in self.signed_requests)
-
-    def canonical(self):
-        return (
-            "ibft-preprepare", self.round, self.slot,
-            tuple(_enc(sm) for sm in self.signed_requests),
-        )
-
-    def request_digest(self) -> str:
-        return digest(self.canonical())
 
 
 @wire_message(0x1C, "__iprep__", round=INT, slot=INT, request_digest=STR)
@@ -115,7 +95,7 @@ class IbftCommitCertificate:
     """Proof that one batch committed at one (round, slot).
 
     ``preprepare`` is the leader-signed PRE-PREPARE; ``commits`` are the
-    signed COMMIT votes of every non-leader member of that round's
+    signed, matching COMMIT votes of non-leader members of that round's
     quorum (the leader's commitment is the PRE-PREPARE itself, mirroring
     the XPaxos certificate shape).  Anyone can verify the certificate
     against the public round -> quorum mapping, so round-change state
@@ -132,56 +112,35 @@ class IbftCommitCertificate:
     def canonical(self):
         return (
             "ibft-commit-certificate",
-            _enc(self.preprepare),
-            tuple(_enc(c) for c in self.commits),
+            canon(self.preprepare),
+            tuple(canon(c) for c in self.commits),
         )
 
 
 def ibft_certificate_is_valid(
     certificate: IbftCommitCertificate,
     expected_slot: int,
-    quorum_of,
+    selector,
     verify,
 ) -> bool:
-    """Check an IBFT commit certificate.
+    """Check an IBFT commit certificate against the ``selector``'s mapping.
 
-    ``quorum_of(round)`` returns the round's quorum; ``verify`` checks
-    signatures.  Valid iff: the PRE-PREPARE is signed by the round's
-    leader for ``expected_slot`` and embeds only client-signed requests;
-    every non-leader quorum member contributed a signed COMMIT vote
-    whose digest matches the PRE-PREPARE.
+    Valid iff the PRE-PREPARE is a
+    :func:`~repro.xpaxos.messages.certified_proposal` and the COMMIT
+    votes for its digest satisfy
+    :func:`~repro.xpaxos.messages.votes_decide`.
     """
     if not isinstance(certificate, IbftCommitCertificate):
         return False
-    preprepare = certificate.preprepare
-    if not isinstance(preprepare, SignedMessage) or not verify(preprepare):
+    body = certified_proposal(
+        certificate.preprepare, PrePreparePayload, expected_slot, selector, verify
+    )
+    if body is None:
         return False
-    body = preprepare.payload
-    if not isinstance(body, PrePreparePayload) or body.slot != expected_slot:
-        return False
-    if not body.signed_requests:
-        return False
-    if not all(is_client_request(inner, verify) for inner in body.signed_requests):
-        return False
-    quorum = quorum_of(body.round)
-    if preprepare.signer != min(quorum):
-        return False
-    wanted_digest = body.request_digest()
-    signers = set()
-    for commit in certificate.commits:
-        if not isinstance(commit, SignedMessage) or not verify(commit):
-            return False
-        vote = commit.payload
-        if not isinstance(vote, IbftCommitPayload):
-            return False
-        if vote.round != body.round or vote.slot != body.slot:
-            return False
-        if vote.request_digest != wanted_digest:
-            return False
-        if commit.signer not in quorum or commit.signer == preprepare.signer:
-            return False
-        signers.add(commit.signer)
-    return signers == quorum - {preprepare.signer}
+    wanted = IbftCommitPayload(body.round, body.slot, body.request_digest())
+    return votes_decide(
+        certificate.commits, lambda vote: vote == wanted, body.round, selector, verify
+    )
 
 
 def vote_is_wellformed(vote: Any, payload_type: type) -> Optional[Any]:

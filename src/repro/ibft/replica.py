@@ -1,23 +1,25 @@
 """The IBFT vote phase (3-phase digest votes) on the shared replica core.
 
-Normal case in round ``r`` with active quorum ``Q`` and leader
-``l = min(Q)``:
+Normal case in round ``r`` with quorum ``Q`` and its leader:
 
 1. the leader assigns the next slot to a batch of client requests and
    sends a signed ``PRE-PREPARE`` to the quorum (the PRE-PREPARE doubles
    as the leader's PREPARE *and* COMMIT, mirroring the XPaxos pattern);
 2. members verify the batch and broadcast a ``PREPARE`` vote (round,
    slot, batch digest) to the quorum;
-3. once a member holds matching PREPAREs from every non-leader member it
-   is *prepared* and broadcasts a ``COMMIT`` vote;
-4. a slot commits at a member once it holds matching COMMITs from every
-   non-leader member, and executes in slot order.
+3. once matching PREPAREs meet the core's vote rule a member is
+   *prepared* and broadcasts a ``COMMIT`` vote;
+4. a slot commits at a member once matching COMMITs meet the rule, and
+   executes in slot order.
 
-Thresholds are XFT-style (every quorum member, not IBFT's ``2f + 1`` of
-``3f + 1``): within the active quorum all members must cooperate for
-progress, the failure detector notices the ones that do not, and Quorum
-Selection replaces them — exactly the division of labour the paper
-prescribes for XPaxos, transplanted to a 3-phase message pattern.
+The rule is ``q = n - f`` matching votes of quorum members.  Inside an
+active quorum (``|Q| = q``) that is XFT-style — every member, not
+IBFT's ``2f + 1`` of ``3f + 1``: all members must cooperate for
+progress, the failure detector notices the ones that do not, and the
+selection module replaces them, exactly the division of labour the
+paper prescribes for XPaxos.  On the ``all`` selector (``Q = Π``) the
+same code is the classic pattern the paper's introduction starts from:
+broadcast to all ``n``, proceed on ``n - f`` replies.
 
 Failure-detector integration follows Section V-A under the backend's own
 expectation group: accepting a PRE-PREPARE expects PREPAREs from members
@@ -77,14 +79,10 @@ class IbftReplica(ReplicaCore):
     kind_viewchange = KIND_ROUNDCHANGE
     kind_newview = KIND_NEWROUND
     kind_checkpoint = KIND_CHECKPOINT
+    vote_kinds = (KIND_PREPARE, KIND_COMMIT)
     proposal_type = PrePreparePayload
     slot_state = RoundSlotState
     certificate_is_valid = staticmethod(ibft_certificate_is_valid)
-
-    def start(self) -> None:
-        super().start()
-        self.host.subscribe(KIND_PREPARE, self._on_prepare)
-        self.host.subscribe(KIND_COMMIT, self._on_commit)
 
     def _cast(self, kind: str, vote: Any, votes: Dict[int, SignedMessage]) -> None:
         """Members vote; the leader's PRE-PREPARE is its vote in both phases."""
@@ -138,21 +136,18 @@ class IbftReplica(ReplicaCore):
             state.commit_votes.setdefault(payload.signer, payload)
             self._maybe_commit(payload.payload.slot)
 
-    def _all_voted(self, votes: Dict[int, SignedMessage], state: RoundSlotState) -> bool:
-        """Every non-leader member's vote is in and matches the digest."""
-        return all(
-            member in votes and (
-                member == self.pid
-                or votes[member].payload.request_digest == state.request_digest
-            )
-            for member in self.quorum - {self.leader}
-        )
+    def _enough(self, votes: Dict[int, SignedMessage], state: RoundSlotState) -> bool:
+        """Other members' votes matching the digest meet the vote rule."""
+        return self._quorate(sum(
+            vote.payload.request_digest == state.request_digest
+            for member, vote in votes.items() if member != self.pid
+        ))
 
     def _maybe_prepared(self, slot: int) -> None:
         state = self._slot(slot)
         if state.prepared or state.proposal is None:
             return
-        if not self._all_voted(state.prepare_votes, state):
+        if not self._enough(state.prepare_votes, state):
             return
         state.prepared = True
         self._cast(
@@ -169,16 +164,15 @@ class IbftReplica(ReplicaCore):
         state = self._slot(slot)
         if state.committed or not state.prepared:
             return
-        if self._all_voted(state.commit_votes, state):
+        if self._enough(state.commit_votes, state):
             self._decide(slot, state)
 
     def _certificate_for(self, state: RoundSlotState) -> IbftCommitCertificate:
-        """Commit votes come from every non-leader member (the replica's
+        """The matching commit votes of non-leader members (the replica's
         own vote is recorded when sent); the leader's commitment is the
         PRE-PREPARE itself."""
         commits = tuple(
-            state.commit_votes[member]
-            for member in sorted(state.commit_votes)
-            if member in self.quorum and member != self.leader
+            vote for _, vote in sorted(state.commit_votes.items())
+            if vote.payload.request_digest == state.request_digest
         )
         return IbftCommitCertificate(preprepare=state.proposal, commits=commits)

@@ -54,6 +54,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import repro.core.messages  # noqa: F401
 import repro.fd.heartbeat  # noqa: F401
 import repro.ibft.messages  # noqa: F401
+import repro.leadercentric.star  # noqa: F401
 import repro.xpaxos.messages  # noqa: F401
 from repro.util.wire_schema import (  # noqa: F401 - re-exported API
     KIND_BY_ID,

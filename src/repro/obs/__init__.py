@@ -34,13 +34,13 @@ from repro.obs.registry import (
 )
 from repro.obs.spans import (
     SPAN_ADVERSARY_ACTION,
+    SPAN_DECISION_CHANGE,
     SPAN_DETECTION,
     SPAN_EPOCH_ADVANCE,
     SPAN_EXPECTATION,
     SPAN_FAULT,
     SPAN_QUORUM_CHANGE,
     SPAN_SUSPICION_EDGE,
-    SPAN_VIEW_CHANGE,
     Span,
     SpanSink,
 )
@@ -57,13 +57,13 @@ __all__ = [
     "Span",
     "SpanSink",
     "SPAN_ADVERSARY_ACTION",
+    "SPAN_DECISION_CHANGE",
     "SPAN_DETECTION",
     "SPAN_EPOCH_ADVANCE",
     "SPAN_EXPECTATION",
     "SPAN_FAULT",
     "SPAN_QUORUM_CHANGE",
     "SPAN_SUSPICION_EDGE",
-    "SPAN_VIEW_CHANGE",
     "cache_stats_collector",
     "diff_snapshots",
     "get_obs",

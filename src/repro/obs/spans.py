@@ -33,8 +33,10 @@ SPAN_EXPECTATION = "fd.expectation"
 SPAN_DETECTION = "fd.detection"
 #: A host crashed or recovered (attrs: ``what`` — ``crash``/``recover``).
 SPAN_FAULT = "host.fault"
-#: A replica started a view / round change (attrs: ``view``, ``protocol``).
-SPAN_VIEW_CHANGE = "xp.view_change"
+#: A replica started a decision change — view, round, reconfiguration
+#: (attrs: ``view`` — the new decision number, ``protocol`` — the
+#: backend's prefix, ``term`` — what the backend calls the number).
+SPAN_DECISION_CHANGE = "replica.decision_change"
 #: The adversary engine actuated one attack primitive (attrs:
 #: ``strategy``, ``action``, plus the action's targets — e.g.
 #: ``suspector``/``victim`` for a false suspicion).

@@ -4,10 +4,10 @@ A backend packages everything the runtimes need to run one BFT protocol
 on top of the shared substrate — the QS module, suspicion matrix,
 failure detector, crypto, and both host runtimes stay protocol-free:
 
-- **quorum adoption**: the backend's replica consumes ``<QUORUM, Q>``
-  events through a :class:`~repro.protocol.policy.QuorumPolicy`, mapping
-  QS output to its own decision numbers (views/rounds) over the shared
-  enumeration;
+- **quorum adoption**: the backend's replica consumes ``<QUORUM, ...>``
+  events through a :class:`~repro.protocol.selector.Selector`, mapping
+  selection output to its own decision numbers (views/rounds) over the
+  shared enumeration;
 - **epoch/decision hooks**: :meth:`ProtocolBackend.observe` reduces a
   replica to a :class:`ReplicaStatus` so the node runtime, cluster
   harness, and benchmarks read one shape regardless of protocol;
@@ -16,7 +16,7 @@ failure detector, crypto, and both host runtimes stay protocol-free:
   detector can cancel exactly one protocol's expectations on a
   decision change;
 - **message-cost accounting**: :attr:`ProtocolBackend.replica_kinds`
-  names the inter-replica wire kinds, and
+  names the inter-replica wire kinds (read off the replica class), and
   :meth:`ProtocolBackend.message_costs` reduces a
   :class:`~repro.sim.tracing.MessageStats` to per-kind and per-decision
   counts — the currency of the paper's ~1/3 and ~1/2 savings claims.
@@ -32,19 +32,17 @@ import importlib
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Optional, Tuple
 
-from repro.protocol.policy import EnumerationPolicy, SelectionPolicy
+from repro.protocol.selector import as_selector
 from repro.util.errors import ConfigurationError
 
 #: Built-in backends, resolved lazily on first :func:`get_backend` call.
 _BUILTIN_MODULES: Dict[str, str] = {
     "xpaxos": "repro.xpaxos.backend",
     "ibft": "repro.ibft.backend",
+    "star": "repro.leadercentric.star",
 }
 
 _REGISTRY: Dict[str, "ProtocolBackend"] = {}
-
-#: The stable names accepted by every ``--protocol`` switch.
-BACKEND_NAMES: Tuple[str, ...] = tuple(sorted(_BUILTIN_MODULES))
 
 
 @dataclass(frozen=True)
@@ -53,8 +51,8 @@ class ReplicaStatus:
 
     ``decision_number`` is the protocol's own counter — XPaxos view,
     IBFT round — and always maps to ``quorum``/``leader`` through the
-    shared enumeration, so equal decision numbers mean equal quorums
-    across backends.
+    replica's selector, so on one selector equal decision numbers mean
+    equal leaders and quorums across backends.
     """
 
     protocol: str
@@ -73,14 +71,23 @@ class ProtocolBackend:
 
     #: Registry name (the ``--protocol`` value).
     name: str = "?"
-    #: The protocol's decision-number vocabulary ("view" or "round").
-    decision_term: str = "view"
-    #: FD expectation group used by this backend's replicas.
-    fd_group: str = "?"
-    #: Inter-replica wire kinds (client-facing kinds excluded).
-    replica_kinds: Tuple[str, ...] = ()
     #: The :class:`~repro.protocol.replica.ReplicaCore` subclass to run.
     replica_class: type
+
+    @property
+    def decision_term(self) -> str:
+        """The protocol's decision-number vocabulary ("view" or "round")."""
+        return self.replica_class.term
+
+    @property
+    def fd_group(self) -> str:
+        """FD expectation group used by this backend's replicas."""
+        return self.replica_class.fd_group
+
+    @property
+    def replica_kinds(self) -> Tuple[str, ...]:
+        """Inter-replica wire kinds (client-facing kinds excluded)."""
+        return self.replica_class.wire_kinds()
 
     # ------------------------------------------------------------ construction
 
@@ -89,7 +96,7 @@ class ProtocolBackend:
         host: Any,
         n: int,
         f: int,
-        qs_module: Optional[Any] = None,
+        selector: Optional[Any] = None,
         *,
         batch_size: int = 1,
         batch_window: float = 0.0,
@@ -98,14 +105,13 @@ class ProtocolBackend:
     ) -> Any:
         """Create (and ``host.add_module``) this protocol's replica.
 
-        ``qs_module`` present selects QS-driven operation
-        (:class:`~repro.protocol.policy.SelectionPolicy`); absent, the
-        backend falls back to its native enumeration behaviour.
+        ``selector`` is a :class:`~repro.protocol.selector.Selector`, or
+        anything :func:`~repro.protocol.selector.as_selector` turns into
+        one (a Quorum Selection module; ``None`` for plain enumeration).
         """
-        policy = SelectionPolicy(n, f) if qs_module is not None else EnumerationPolicy(n, f)
         return host.add_module(
             self.replica_class(
-                host, n=n, f=f, policy=policy, qs_module=qs_module,
+                host, n=n, f=f, selector=as_selector(selector, n, f),
                 batch_size=batch_size, batch_window=batch_window,
                 checkpoint_interval=checkpoint_interval,
                 state_machine=state_machine,

@@ -65,15 +65,56 @@ def rank_of_quorum(quorum: Iterable[int], n: int, q: int) -> int:
     return rank
 
 
+def _view_at_rank(rank: int, cycle: int, min_view: int) -> int:
+    """Smallest view ``>= min_view`` congruent to ``rank`` modulo ``cycle``."""
+    lap = min_view // cycle + (rank < min_view % cycle)
+    return lap * cycle + rank
+
+
 def view_for_quorum(quorum: Iterable[int], n: int, q: int, min_view: int) -> int:
     """Smallest view ``>= min_view`` whose assigned quorum is ``quorum``."""
-    cycle = total_quorums(n, q)
-    rank = rank_of_quorum(quorum, n, q)
-    if rank >= min_view % cycle:
-        return (min_view // cycle) * cycle + rank
-    return (min_view // cycle + 1) * cycle + rank
+    return _view_at_rank(rank_of_quorum(quorum, n, q), total_quorums(n, q), min_view)
 
 
 def leader_of_view(view: int, n: int, q: int) -> int:
     """The view's leader: lowest id in the view's quorum (Figure 2)."""
     return min(quorum_for_view(view, n, q))
+
+
+# ---------------------------------------------------------------------------
+# Follower Selection (Algorithm 2) outputs a *pair*: a leader and the
+# ``q - 1`` followers it chose, so its views enumerate ``(leader,
+# follower-set)`` configurations — leader-major (Definition 2 moves the
+# leader strictly upward within an epoch, so views grow with it), then
+# the follower set in the lexicographic order above over the other
+# ``n - 1`` ids.  View 0 is Algorithm 2's default ``(p1, {p1..pq})``.
+
+
+def total_configs(n: int, q: int) -> int:
+    """``n * C(n-1, q-1)`` — the length of the configuration cycle."""
+    return n * total_quorums(n - 1, q - 1)
+
+
+def config_for_view(view: int, n: int, q: int) -> Tuple[int, FrozenSet[int]]:
+    """Unrank: the ``(leader, quorum)`` assigned to (0-based) ``view``."""
+    if view < 0:
+        raise ConfigurationError(f"view must be >= 0, got {view}")
+    leader, rank = divmod(view % total_configs(n, q), total_quorums(n - 1, q - 1))
+    leader += 1
+    # Followers are ranked over the ids with the leader taken out.
+    followers = (p + (p >= leader) for p in quorum_for_view(rank, n - 1, q - 1))
+    return leader, frozenset(followers) | {leader}
+
+
+def view_for_config(
+    leader: int, quorum: Iterable[int], n: int, q: int, min_view: int
+) -> int:
+    """Smallest view ``>= min_view`` assigned ``(leader, quorum)``."""
+    members = frozenset(quorum)
+    if leader not in members or not 1 <= leader <= n:
+        raise ConfigurationError(f"leader p{leader} must be a member of {sorted(members)}")
+    followers = (p - (p > leader) for p in members - {leader})
+    rank = (leader - 1) * total_quorums(n - 1, q - 1) + rank_of_quorum(
+        followers, n - 1, q - 1
+    )
+    return _view_at_rank(rank, total_configs(n, q), min_view)

@@ -17,8 +17,9 @@ which set of them decides a slot.  :class:`ReplicaCore` owns the rest:
   ``checkpoint_interval`` slots, log compaction, compact service-mode
   snapshots, snapshot adoption by lagging replicas;
 - **decision changes** (view / round changes): suspicion and
-  ``<QUORUM, Q>`` adoption through the shared
-  :class:`~repro.protocol.policy.QuorumPolicy`, signed history exchange,
+  ``<QUORUM, ...>`` adoption through the one
+  :class:`~repro.protocol.selector.Selector` it is built on, signed
+  history exchange,
   the new leader's longest-certified-history merge, NEW-VIEW install and
   re-proposal of prepared requests (DESIGN.md §5.7 lists the delta to
   XPaxos' full OSDI'16 protocol);
@@ -26,9 +27,15 @@ which set of them decides a slot.  :class:`ReplicaCore` owns the rest:
 
 A backend subclasses the core and supplies class attributes (names, wire
 kinds, proposal type, slot-state type, certificate validator) plus its
-vote phase: :meth:`_proposal_accepted`, its vote handlers and
-:meth:`_certificate_for`.  The core reads a message's decision number as
-``body.view`` whatever the backend calls it.
+vote phase: :meth:`_proposal_accepted`, one ``_on_<name>`` handler per
+entry of :attr:`ReplicaCore.vote_kinds` and :meth:`_certificate_for`.
+The core reads a message's decision number as ``body.view`` whatever the
+backend calls it.
+
+One vote rule serves every backend and selector (:meth:`_quorate`):
+``q = n - f`` matching votes from members of the view's quorum decide,
+the leader's proposal counting as its vote.  With ``|Q| = q`` — every
+selector but ``all`` — that reads "every member".
 """
 
 from __future__ import annotations
@@ -39,8 +46,8 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.crypto.authenticator import SignedMessage
 from repro.crypto.digests import digest
 from repro.obs.observability import NULL_OBS, get_obs
-from repro.obs.spans import SPAN_VIEW_CHANGE
-from repro.protocol.policy import QuorumPolicy
+from repro.obs.spans import SPAN_DECISION_CHANGE
+from repro.protocol.selector import Selector
 from repro.sim.events import TimerHandle
 from repro.sim.process import Module, ProcessHost
 from repro.util.errors import ConfigurationError
@@ -97,21 +104,29 @@ class ReplicaCore(Module):
     kind_viewchange: str
     kind_newview: str
     kind_checkpoint: str
+    #: The vote phase's own kinds, in sending order; ``xp.commit`` is
+    #: handled by ``self._on_commit``.
+    vote_kinds: Tuple[str, ...]
     #: Payload class of the leader's proposal: ``(view, slot,
     #: signed_requests)`` with ``requests`` and ``request_digest()``.
     proposal_type: type
     slot_state: type = SlotState
-    #: ``(certificate, slot, quorum_of, verify) -> bool``; a valid
+    #: ``(certificate, slot, selector, verify) -> bool``; a valid
     #: certificate exposes its batch as ``certificate.requests``.
     certificate_is_valid: Callable[..., bool]
+
+    @classmethod
+    def wire_kinds(cls) -> Tuple[str, ...]:
+        """Every inter-replica kind this backend sends (clients' excluded)."""
+        return (cls.kind_proposal, *cls.vote_kinds,
+                cls.kind_viewchange, cls.kind_newview, cls.kind_checkpoint)
 
     def __init__(
         self,
         host: ProcessHost,
         n: int,
         f: int,
-        policy: QuorumPolicy,
-        qs_module: Optional[Any] = None,
+        selector: Selector,
         batch_size: int = 1,
         batch_window: float = 0.0,
         checkpoint_interval: Optional[int] = None,
@@ -125,8 +140,7 @@ class ReplicaCore(Module):
         self.n = n
         self.f = f
         self.q = n - f
-        self.policy = policy
-        self.qs = qs_module
+        self.selector = selector
         if batch_size < 1:
             raise ConfigurationError(f"batch size must be >= 1, got {batch_size}")
         if batch_window < 0:
@@ -185,10 +199,12 @@ class ReplicaCore(Module):
         self.host.subscribe(self.kind_viewchange, self._on_viewchange)
         self.host.subscribe(self.kind_newview, self._on_newview)
         self.host.subscribe(self.kind_checkpoint, self._on_checkpoint)
+        for kind in self.vote_kinds:
+            self.host.subscribe(kind, getattr(self, f"_on_{_name(kind)}"))
         if self.host.fd is not None:
             self.host.fd.subscribe_suspected(self._on_suspected)
-        if self.qs is not None:
-            self.qs.add_quorum_listener(self._on_selected_quorum)
+        if self.selector.module is not None:
+            self.selector.module.add_quorum_listener(self._on_selected_quorum)
 
     def recover(self) -> None:
         """The crash cancelled the batch flush timer; re-arm it if needed."""
@@ -211,11 +227,11 @@ class ReplicaCore(Module):
 
     @property
     def quorum(self) -> FrozenSet[int]:
-        return self.policy.quorum_of(self.view)
+        return self.selector.quorum_of(self.view)
 
     @property
     def leader(self) -> ProcessId:
-        return self.policy.leader_of(self.view)
+        return self.selector.leader_of(self.view)
 
     @property
     def is_leader(self) -> bool:
@@ -264,6 +280,12 @@ class ReplicaCore(Module):
 
     def _slot(self, slot: int) -> Any:
         return self.slots.setdefault(slot, self.slot_state())
+
+    def _quorate(self, others: int) -> bool:
+        """The vote rule, given the matching votes of members *other than*
+        this one and the leader: with the leader's proposal and (at a
+        follower) this member's own vote, do ``q`` members agree?"""
+        return others + 1 + (self.pid != self.leader) >= self.q
 
     # ----------------------------------------------------- FD expectations
 
@@ -382,9 +404,7 @@ class ReplicaCore(Module):
             body = self.proposal_type(self.view, slot, tuple(batch))
             proposal = self.host.authenticator.sign(body)
             state = self._slot(slot)
-            state.proposal = proposal
-            state.requests = body.requests
-            state.request_digest = body.request_digest()
+            self._hold(state, proposal, body.request_digest())
             for member in sorted(self.quorum - {self.pid}):
                 self.host.send(member, self.kind_proposal, proposal)
             self._proposal_accepted(state, body)
@@ -413,10 +433,14 @@ class ReplicaCore(Module):
         if not all(is_client_request(r, self._verify) for r in body.signed_requests):
             self._detect(proposal.signer, "forged-client-request")
             return
-        state.proposal = proposal
-        state.requests = body.requests
-        state.request_digest = incoming_digest
+        self._hold(state, proposal, incoming_digest)
         self._proposal_accepted(state, body)
+
+    def _hold(self, state: Any, proposal: SignedMessage, request_digest: str) -> None:
+        """``state`` is now about the (checked) signed ``proposal``."""
+        state.proposal = proposal
+        state.requests = proposal.payload.requests
+        state.request_digest = request_digest
 
     def _proposal_accepted(self, state: Any, body: Any) -> None:
         """Vote phase entry: ``state`` now holds the proposal ``body``.
@@ -544,12 +568,12 @@ class ReplicaCore(Module):
             return
         if body.view != self.view or payload.signer not in self.quorum:
             return
+        if body.slot_count <= self.checkpoint_slot:
+            return  # a vote past the threshold, or for a state long stable
         key = (body.view, body.slot_count, body.state_digest)
         votes = self._ckpt_votes.setdefault(key, {})
         votes[payload.signer] = payload
-        if set(votes) != self.quorum:
-            return
-        if body.slot_count <= self.checkpoint_slot:
+        if len(votes) < self.q:
             return
         snapshot = self._pending_snapshots.get(body.slot_count)
         if snapshot is None or digest(snapshot) != body.state_digest:
@@ -623,23 +647,14 @@ class ReplicaCore(Module):
     # =================================================================
 
     def _on_suspected(self, suspected: FrozenSet[int]) -> None:
-        self._move_to(self.policy.next_view_on_suspicion(self.view, suspected))
+        self._move_to(self.selector.view_on_suspicion(self.view, suspected))
 
     def _on_selected_quorum(self, event: Any) -> None:
-        self._move_to(self.policy.view_for_selected_quorum(event.quorum, self.view))
+        self._move_to(self.selector.view_on_selected(event, self.view))
 
     def _move_to(self, target: Optional[int]) -> None:
         if target is not None and target > self.view:
             self._start_view_change(target)
-
-    def _acceptable_view(self, target: int) -> bool:
-        """Whether to join a view change announced by a peer."""
-        if target <= self.view:
-            return False
-        if self.qs is not None:
-            # Selection mode: only views matching the QS module's verdict.
-            return self.policy.quorum_of(target) == self.qs.current_quorum
-        return True
 
     def _start_view_change(self, target: int) -> None:
         self.view = target
@@ -667,10 +682,10 @@ class ReplicaCore(Module):
         }
         self._log(
             self.kind_viewchange, **{self.term: target},
-            quorum=tuple(sorted(self.policy.quorum_of(target))),
+            quorum=tuple(sorted(self.quorum)),
         )
-        self._obs.span(SPAN_VIEW_CHANGE, self.pid, self.host.now,
-                       view=target, protocol=self.prefix)
+        self._obs.span(SPAN_DECISION_CHANGE, self.pid, self.host.now,
+                       view=target, protocol=self.prefix, term=self.term)
         if self.host.fd is not None:
             # Section V-B: during view change processes may legitimately
             # stop sending expected normal-case messages.
@@ -695,7 +710,8 @@ class ReplicaCore(Module):
         body = self._authentic(payload, ViewChangePayload)
         if body is None:
             return
-        if self._acceptable_view(body.new_view):
+        # Join a peer's change only where the selector would go itself.
+        if body.new_view > self.view and self.selector.accepts(body.new_view):
             self._start_view_change(body.new_view)
         self._record_viewchange(payload.signer, body)
 
@@ -808,7 +824,7 @@ class ReplicaCore(Module):
         length = 0
         if checkpoint is not None or snapshot is not None:
             if not checkpoint_certificate_is_valid(
-                checkpoint, self.policy.quorum_of, self._verify
+                checkpoint, self.selector, self._verify
             ):
                 return None
             reference = checkpoint.payload
@@ -826,7 +842,7 @@ class ReplicaCore(Module):
             )
         for index, cert in enumerate(committed):
             if not self.certificate_is_valid(
-                cert, base_slot + index, self.policy.quorum_of, self._verify
+                cert, base_slot + index, self.selector, self._verify
             ):
                 return None
             length += len(cert.requests)

@@ -1,11 +1,12 @@
-"""Backend-parametrized system assembly (conformance + benchmark harness).
+"""Assembly of a full replicated system inside one simulation.
 
-A protocol-neutral twin of :func:`repro.xpaxos.system.build_system`: the
-same per-replica substrate (failure detector, heartbeats, Quorum
-Selection) and the same client pool, but the replica layer comes from a
-named :class:`~repro.protocol.backend.ProtocolBackend`.  The conformance
-suite runs this builder once per backend; the head-to-head benchmark
-compares the two resulting systems message for message.
+:func:`build_backend_system` is the one place that wires, per replica,
+a failure detector, heartbeats (crash/omission detection independent of
+client traffic), a named :class:`~repro.protocol.selector.Selector` with
+its selection module, and the replica of a named
+:class:`~repro.protocol.backend.ProtocolBackend`; clients occupy process
+ids ``n+1 .. n+clients``.  Tests, experiments and the conformance
+batteries build every backend x selector combination through it.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.quorum_selection import QuorumSelectionModule
 from repro.failures.adversary import Adversary
 from repro.fd.detector import FailureDetector
 from repro.fd.heartbeat import HeartbeatModule
 from repro.fd.timers import TimeoutPolicy
 from repro.protocol.backend import ProtocolBackend, ReplicaStatus, get_backend
+from repro.protocol.selector import make_selector
 from repro.sim.runtime import Simulation, SimulationConfig
 from repro.util.errors import ConfigurationError
 from repro.xpaxos.client import XPaxosClient
@@ -34,7 +35,8 @@ class ProtocolSystem:
     backend: ProtocolBackend
     replicas: Dict[int, Any]
     clients: Dict[int, XPaxosClient]
-    qs_modules: Dict[int, QuorumSelectionModule] = field(default_factory=dict)
+    #: Each replica's selection module (empty for ``enum`` and ``all``).
+    qs_modules: Dict[int, Any] = field(default_factory=dict)
     adversary: Optional[Adversary] = None
 
     @property
@@ -52,6 +54,16 @@ class ProtocolSystem:
 
     def observe(self, pid: int) -> ReplicaStatus:
         return self.backend.observe(self.replicas[pid])
+
+    def current_config(self) -> Tuple[int, Tuple[int, ...]]:
+        """The ``(leader, members)`` every running correct replica runs."""
+        configs = {
+            (replica.leader, tuple(sorted(replica.quorum)))
+            for replica in self.correct_replicas() if replica.host.running
+        }
+        if len(configs) != 1:
+            raise ConfigurationError(f"configuration disagreement: {configs}")
+        return configs.pop()
 
     def total_completed(self) -> int:
         return sum(len(client.completed) for client in self.clients.values())
@@ -87,6 +99,7 @@ def build_backend_system(
     protocol: str,
     n: int,
     f: int,
+    selector: str = "qs",
     clients: int = 1,
     client_ops: Optional[Sequence[Sequence[Tuple[Any, ...]]]] = None,
     seed: int = 1,
@@ -105,11 +118,9 @@ def build_backend_system(
     chaos=None,
     max_steps: int = 2_000_000,
 ) -> ProtocolSystem:
-    """Build a ready-to-run system for the named backend.
+    """Build a ready-to-run system: the named backend on the named selector.
 
-    Always QS-driven (``SelectionPolicy``): the point of this builder is
-    exercising the shared quorum-consumption contract.  ``client_ops``
-    is one op-list per client; defaults to 20 puts each.
+    ``client_ops`` is one op-list per client; defaults to 20 puts each.
     """
     backend = get_backend(protocol)
     if clients < 0:
@@ -122,16 +133,17 @@ def build_backend_system(
         )
     )
     replicas: Dict[int, Any] = {}
-    qs_modules: Dict[int, QuorumSelectionModule] = {}
+    qs_modules: Dict[int, Any] = {}
     for pid in range(1, n + 1):
         host = sim.host(pid)
         FailureDetector(host, TimeoutPolicy(base_timeout=fd_base_timeout))
         if heartbeats:
             host.add_module(HeartbeatModule(host, n=n, period=heartbeat_period))
-        qs_module = host.add_module(QuorumSelectionModule(host, n=n, f=f))
-        qs_modules[pid] = qs_module
+        mounted = make_selector(selector, n, f, host)
+        if mounted.module is not None:
+            qs_modules[pid] = mounted.module
         replicas[pid] = backend.build_replica(
-            host, n, f, qs_module,
+            host, n, f, mounted,
             batch_size=batch_size, batch_window=batch_window,
             checkpoint_interval=checkpoint_interval,
             state_machine=(
@@ -139,6 +151,7 @@ def build_backend_system(
             ),
         )
     client_modules: Dict[int, XPaxosClient] = {}
+    leader_of = make_selector(selector, n, f).leader_of
     for index in range(clients):
         pid = n + 1 + index
         host = sim.host(pid)
@@ -148,7 +161,7 @@ def build_backend_system(
             ops = [("put", f"key-{index}-{i}", i) for i in range(20)]
         client_modules[pid] = host.add_module(
             XPaxosClient(
-                host, n=n, f=f, ops=ops,
+                host, n=n, f=f, ops=ops, leader_of=leader_of,
                 retry_timeout=client_retry, think_time=client_think_time,
             )
         )

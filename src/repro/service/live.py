@@ -34,7 +34,7 @@ from repro.net.host import NetHost
 from repro.net.node import parse_peer_map
 from repro.net.peer import PeerManager
 from repro.net.timers import NetTimerService
-from repro.protocol.policy import SelectionPolicy
+from repro.protocol.selector import make_selector
 from repro.service.client import ServiceClient
 from repro.service.loadgen import LoadGenerator, Workload, summarize_phase
 from repro.util.errors import ConfigurationError
@@ -172,7 +172,7 @@ async def run_live_load(
     )
     gateway_addr = await gateway.start_server()
 
-    initial_leader = min(SelectionPolicy(n, f).quorum_of(0))
+    initial_leader = make_selector("qs", n, f).leader_of(0)
     kills = ()
     recovers = ()
     if kill_leader_at is not None:

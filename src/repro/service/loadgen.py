@@ -298,7 +298,7 @@ def run_sim_load(
     )
     world.sim.scheduler.schedule(0.0, generator.start, label="svc-loadgen-start")
 
-    initial_leader = min(world.replicas[1].policy.quorum_of(0))
+    initial_leader = world.replicas[1].selector.leader_of(0)
     if kill_leader_at is not None:
         world.adversary.crash(initial_leader, at=kill_leader_at)
         if recover_at is not None:

@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.net.cluster import ClusterConfig, run_cluster
 from repro.obs.registry import merge_snapshots
-from repro.protocol.policy import SelectionPolicy
+from repro.protocol.selector import make_selector
 from repro.service.live import ClientGateway, service_verdict
 from repro.service.loadgen import Workload
 from repro.shard.ring import DEFAULT_VNODES, HashRing
@@ -89,7 +89,7 @@ async def run_live_shard_load(
     loop = asyncio.get_running_loop()
     run_dir = Path(run_dir) if run_dir is not None else None
 
-    initial_leader = min(SelectionPolicy(n, f).quorum_of(0))
+    initial_leader = make_selector("qs", n, f).leader_of(0)
     gateways: List[ClientGateway] = []
     readies: List[asyncio.Event] = []
     address_boxes: List[Dict[int, str]] = []

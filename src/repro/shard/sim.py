@@ -140,7 +140,7 @@ def run_sim_shard_load(
     killed_leader = None
     if kill_shard_leader_at is not None:
         victim_world = worlds[kill_shard]
-        killed_leader = min(victim_world.replicas[1].policy.quorum_of(0))
+        killed_leader = victim_world.replicas[1].selector.leader_of(0)
         victim_world.adversary.crash(killed_leader, at=kill_shard_leader_at)
         if recover_at is not None:
             victim_world.sim.at(

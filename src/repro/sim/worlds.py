@@ -126,24 +126,25 @@ def attach_kv_service_stack(
     Returns ``(qs_module, replica)``.
     """
     from repro.protocol.backend import get_backend
+    from repro.protocol.selector import make_selector
     from repro.service.kv import ServiceKVStore
 
     backend = get_backend(protocol)
     require_host_api(host)
     FailureDetector(host, TimeoutPolicy(base_timeout=base_timeout))
     host.add_module(HeartbeatModule(host, n=n, period=heartbeat_period))
-    qs_module = host.add_module(QuorumSelectionModule(host, n=n, f=f))
+    selector = make_selector("qs", n, f, host)
     replica = backend.build_replica(
         host,
         n,
         f,
-        qs_module,
+        selector,
         batch_size=batch_size,
         batch_window=batch_window,
         checkpoint_interval=checkpoint_interval,
         state_machine=ServiceKVStore(),
     )
-    return qs_module, replica
+    return selector.module, replica
 
 
 @dataclass

@@ -16,10 +16,10 @@ changing the quorum (a view change) on failure.  This package provides:
   (lexicographic enumeration of all ``C(n, f)`` quorums, round-robin), so
   a ``<QUORUM, Q>`` from Quorum Selection "suspects all quorums ordered
   before Q";
-- the two quorum policies under comparison: :class:`EnumerationPolicy`
-  (XPaxos' original try-them-all) and :class:`SelectionPolicy` (driven by
-  this paper's Quorum Selection);
-- clients and a system builder for end-to-end experiments.
+- the two quorum policies under comparison, as selectors of
+  :mod:`repro.protocol.selector`: ``enum`` (XPaxos' original
+  try-them-all) and ``qs`` (driven by this paper's Quorum Selection);
+- clients and a by-mode system builder for end-to-end experiments.
 """
 
 from repro.xpaxos.messages import (
@@ -43,10 +43,9 @@ from repro.protocol.enumeration import (
     rank_of_quorum,
     total_quorums,
 )
-from repro.protocol.policy import QuorumPolicy, EnumerationPolicy, SelectionPolicy
 from repro.xpaxos.replica import XPaxosReplica
 from repro.xpaxos.client import XPaxosClient
-from repro.xpaxos.system import XPaxosSystem, build_system
+from repro.xpaxos.system import build_system
 
 __all__ = [
     "ClientRequest",
@@ -68,11 +67,7 @@ __all__ = [
     "view_for_quorum",
     "rank_of_quorum",
     "total_quorums",
-    "QuorumPolicy",
-    "EnumerationPolicy",
-    "SelectionPolicy",
     "XPaxosReplica",
     "XPaxosClient",
-    "XPaxosSystem",
     "build_system",
 ]

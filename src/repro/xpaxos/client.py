@@ -1,7 +1,8 @@
 """Closed-loop XPaxos client.
 
 A client occupies a process id above the replica range, signs its
-requests, sends each to the replica it believes leads, and accepts a
+requests, sends each to the replica it believes leads — the leader the
+system's selector assigns to the view it last heard of — and accepts a
 result once ``f + 1`` replicas reported the same value for the same
 request (with ``n = 2f + 1`` that is the whole active quorum).  On
 timeout it retransmits as a broadcast to every replica — replicas forward
@@ -10,10 +11,9 @@ to their current leader — and learns the current view from replies.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.authenticator import SignedMessage
-from repro.protocol.enumeration import leader_of_view
 from repro.sim.events import TimerHandle
 from repro.sim.process import Module, ProcessHost
 from repro.util.ids import ProcessId
@@ -29,6 +29,7 @@ class XPaxosClient(Module):
         n: int,
         f: int,
         ops: Sequence[Tuple[Any, ...]],
+        leader_of: Callable[[int], ProcessId],
         retry_timeout: float = 20.0,
         think_time: float = 0.0,
     ) -> None:
@@ -36,6 +37,8 @@ class XPaxosClient(Module):
         self.n = n
         self.f = f
         self.ops: List[Tuple[Any, ...]] = list(ops)
+        #: View -> leader under the system's selector.
+        self.leader_of = leader_of
         self.retry_timeout = retry_timeout
         self.think_time = think_time
         self.believed_view = 0
@@ -80,8 +83,7 @@ class XPaxosClient(Module):
             for replica in range(1, self.n + 1):
                 self.host.send(replica, KIND_REQUEST, signed)
         else:
-            leader = leader_of_view(self.believed_view, self.n, self.n - self.f)
-            self.host.send(leader, KIND_REQUEST, signed)
+            self.host.send(self.leader_of(self.believed_view), KIND_REQUEST, signed)
 
     def _arm_retry(self, sequence: int) -> None:
         # One live timer chain at a time: superseded chains are cancelled so a

@@ -11,7 +11,7 @@ PREPAREs for the same view/slot differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Iterable, Optional, Tuple
 
 from repro.crypto.authenticator import SignedMessage
 from repro.crypto.digests import digest
@@ -60,37 +60,100 @@ def is_client_request(signed: Any, verify) -> bool:
     )
 
 
-@wire_message(0x13, "__xprep__", view=INT, slot=INT, signed_requests=tuple_of(VALUE))
-@dataclass(frozen=True)
-class PreparePayload:
-    """``PREPARE(view, slot, signed_requests)`` from the view's leader.
+def canon(value: Any) -> Any:
+    """``value.canonical()`` where there is one.  A Byzantine sender may put
+    anything where a message belongs; the enclosing payload must still be
+    signable so receivers can authenticate it and then reject the content."""
+    return value.canonical() if hasattr(value, "canonical") else value
+
+
+class Proposal:
+    """What the replica core reads off any backend's leader proposal, next
+    to its ``(view, slot, signed_requests)`` fields.
 
     ``signed_requests`` is a *batch* of client-signed request envelopes
     (a singleton tuple when batching is off).  A leader cannot fabricate
     operations out of thin air — members verify every client signature
-    before accepting the PREPARE, and a PREPARE carrying a forged request
-    is a provable commission failure of the leader.
+    before accepting the proposal, and one carrying a forged request is
+    a provable commission failure of the leader.
     """
 
-    view: int
-    slot: int
-    signed_requests: Tuple[SignedMessage, ...]  # client-signed ClientRequests
+    #: First element of :meth:`canonical` — keeps backends' signatures apart.
+    label: str
 
     @property
     def requests(self) -> Tuple[ClientRequest, ...]:
         return tuple(sm.payload for sm in self.signed_requests)
 
     def canonical(self):
-        def enc(value):
-            return value.canonical() if hasattr(value, "canonical") else value
-
         return (
-            "prepare", self.view, self.slot,
-            tuple(enc(sm) for sm in self.signed_requests),
+            self.label, self.view, self.slot,
+            tuple(canon(sm) for sm in self.signed_requests),
         )
 
     def request_digest(self) -> str:
         return digest(self.canonical())
+
+
+def certified_proposal(
+    proposal: Any, proposal_type: type, expected_slot: int, selector, verify
+) -> Optional[Any]:
+    """The body of a certificate's proposal, or ``None`` if it proves nothing.
+
+    It must be signed by the leader the ``selector`` assigns to its view,
+    be for ``expected_slot`` and carry only client-signed requests.
+    """
+    if not isinstance(proposal, SignedMessage) or not verify(proposal):
+        return None
+    body = proposal.payload
+    if not isinstance(body, proposal_type) or body.slot != expected_slot:
+        return None
+    if not body.signed_requests:
+        return None
+    if not all(is_client_request(inner, verify) for inner in body.signed_requests):
+        return None
+    if proposal.signer != selector.leader_of(body.view):
+        return None
+    return body
+
+
+def votes_decide(
+    votes: Iterable[Any],
+    matches: Callable[[Any], bool],
+    view: int,
+    selector,
+    verify,
+) -> bool:
+    """The certificate half of the replica core's vote rule.
+
+    Every vote must verify, satisfy ``matches(vote.payload)`` and come
+    from a non-leader member of ``view``'s quorum; with the leader's
+    proposal counted as its vote, ``selector.q`` members must agree —
+    every member whenever the quorum has exactly ``q``.
+    """
+    leader, quorum = selector.leader_of(view), selector.quorum_of(view)
+    signers = {leader}
+    for vote in votes:
+        if not isinstance(vote, SignedMessage) or not verify(vote):
+            return False
+        if not matches(vote.payload):
+            return False
+        if vote.signer not in quorum or vote.signer == leader:
+            return False
+        signers.add(vote.signer)
+    return len(signers) >= selector.q
+
+
+@wire_message(0x13, "__xprep__", view=INT, slot=INT, signed_requests=tuple_of(VALUE))
+@dataclass(frozen=True)
+class PreparePayload(Proposal):
+    """``PREPARE(view, slot, signed_requests)`` from the view's leader."""
+
+    label = "prepare"
+
+    view: int
+    slot: int
+    signed_requests: Tuple[SignedMessage, ...]  # client-signed ClientRequests
 
 
 @wire_message(0x14, "__xcommit__", view=INT, slot=INT, prepare=VALUE)
@@ -103,15 +166,9 @@ class CommitPayload:
     prepare: SignedMessage  # the leader-signed PreparePayload
 
     def canonical(self):
-        # A Byzantine sender may put a non-PREPARE here; it must still be
-        # signable/encodable so that receivers can authenticate the COMMIT
-        # and then *detect* the sender (Section V-A).
-        embedded = (
-            self.prepare.canonical()
-            if hasattr(self.prepare, "canonical")
-            else self.prepare
-        )
-        return ("commit", self.view, self.slot, embedded)
+        # A non-PREPARE here still signs, so that receivers can
+        # authenticate the COMMIT and then *detect* the sender (Sec. V-A).
+        return ("commit", self.view, self.slot, canon(self.prepare))
 
 
 @wire_message(0x15, "__xcert__", prepare=VALUE, commits=tuple_of(VALUE))
@@ -144,54 +201,38 @@ class CommitCertificate:
 def certificate_is_valid(
     certificate: CommitCertificate,
     expected_slot: int,
-    quorum_of,
+    selector,
     verify,
 ) -> bool:
-    """Check a commit certificate.
+    """Check a commit certificate against the ``selector``'s view mapping.
 
-    ``quorum_of(view)`` returns the view's quorum; ``verify`` checks
-    signatures.  Valid iff: the PREPARE is signed by the view's leader
-    for ``expected_slot`` and carries a client-signed request; every
-    non-leader quorum member contributed a signed COMMIT embedding a
-    PREPARE with the same request digest.
+    Valid iff the PREPARE is a :func:`certified_proposal` and the COMMITs
+    — each embedding a PREPARE with the same request digest — satisfy
+    :func:`votes_decide`.
     """
     if not isinstance(certificate, CommitCertificate):
         return False
-    prepare = certificate.prepare
-    if not isinstance(prepare, SignedMessage) or not verify(prepare):
-        return False
-    body = prepare.payload
-    if not isinstance(body, PreparePayload) or body.slot != expected_slot:
-        return False
-    if not body.signed_requests:
-        return False
-    if not all(is_client_request(inner, verify) for inner in body.signed_requests):
-        return False
-    quorum = quorum_of(body.view)
-    if prepare.signer != min(quorum):
+    body = certified_proposal(
+        certificate.prepare, PreparePayload, expected_slot, selector, verify
+    )
+    if body is None:
         return False
     wanted_digest = body.request_digest()
-    signers = set()
-    for commit in certificate.commits:
-        if not isinstance(commit, SignedMessage) or not verify(commit):
+
+    def matches(commit: Any) -> bool:
+        if not isinstance(commit, CommitPayload):
             return False
-        commit_body = commit.payload
-        if not isinstance(commit_body, CommitPayload):
+        if commit.view != body.view or commit.slot != body.slot:
             return False
-        if commit_body.view != body.view or commit_body.slot != body.slot:
-            return False
-        embedded = commit_body.prepare
-        if not isinstance(embedded, SignedMessage) or not verify(embedded):
-            return False
-        embedded_body = embedded.payload
-        if not isinstance(embedded_body, PreparePayload):
-            return False
-        if embedded_body.request_digest() != wanted_digest:
-            return False
-        if commit.signer not in quorum or commit.signer == prepare.signer:
-            return False
-        signers.add(commit.signer)
-    return signers == quorum - {prepare.signer}
+        embedded = commit.prepare
+        return (
+            isinstance(embedded, SignedMessage)
+            and verify(embedded)
+            and isinstance(embedded.payload, PreparePayload)
+            and embedded.payload.request_digest() == wanted_digest
+        )
+
+    return votes_decide(certificate.commits, matches, body.view, selector, verify)
 
 
 @wire_message(0x16, "__xckpt__", view=INT, slot_count=INT, state_digest=STR)
@@ -211,7 +252,7 @@ class CheckpointPayload:
 @wire_message(0x17, "__xckptcert__", votes=tuple_of(VALUE))
 @dataclass(frozen=True)
 class CheckpointCertificate:
-    """Signed CHECKPOINT votes from every member of one view's quorum.
+    """Signed CHECKPOINT votes of ``q`` members of one view's quorum.
 
     Once formed, every commit certificate before ``slot_count`` can be
     discarded: the snapshot whose digest the certificate pins replaces
@@ -225,17 +266,14 @@ class CheckpointCertificate:
         return self.votes[0].payload
 
     def canonical(self):
-        def enc(value):
-            return value.canonical() if hasattr(value, "canonical") else value
-
-        return ("checkpoint-certificate", tuple(enc(v) for v in self.votes))
+        return ("checkpoint-certificate", tuple(canon(v) for v in self.votes))
 
 
 def checkpoint_certificate_is_valid(
-    certificate: "CheckpointCertificate", quorum_of, verify
+    certificate: "CheckpointCertificate", selector, verify
 ) -> bool:
     """All votes verify, agree on (view, slot_count, digest), and come
-    from exactly the view's quorum."""
+    from ``q`` members of the view's quorum."""
     if not isinstance(certificate, CheckpointCertificate) or not certificate.votes:
         return False
     reference: Optional[CheckpointPayload] = None
@@ -251,7 +289,7 @@ def checkpoint_certificate_is_valid(
         elif body != reference:
             return False
         signers.add(vote.signer)
-    return signers == quorum_of(reference.view)
+    return signers <= selector.quorum_of(reference.view) and len(signers) >= selector.q
 
 
 @wire_message(
@@ -277,18 +315,12 @@ class ViewChangePayload:
     snapshot: Optional[Tuple] = None  # digest-pinned by the checkpoint
 
     def canonical(self):
-        # Byzantine senders may put arbitrary values where certificates
-        # belong; the payload must still be signable so receivers can
-        # authenticate it and then reject the content.
-        def enc(value):
-            return value.canonical() if hasattr(value, "canonical") else value
-
         return (
             "view-change",
             self.new_view,
-            tuple(enc(cert) for cert in self.committed),
-            tuple((slot, enc(sm)) for slot, sm in self.prepared),
-            enc(self.checkpoint),
+            tuple(canon(cert) for cert in self.committed),
+            tuple((slot, canon(sm)) for slot, sm in self.prepared),
+            canon(self.checkpoint),
             self.snapshot,
         )
 
@@ -306,14 +338,11 @@ class NewViewPayload:
     snapshot: Optional[Tuple] = None
 
     def canonical(self):
-        def enc(value):
-            return value.canonical() if hasattr(value, "canonical") else value
-
         return (
             "new-view",
             self.view,
-            tuple(enc(cert) for cert in self.committed),
-            enc(self.checkpoint),
+            tuple(canon(cert) for cert in self.committed),
+            canon(self.checkpoint),
             self.snapshot,
         )
 

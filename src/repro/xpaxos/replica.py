@@ -1,15 +1,16 @@
 """The XPaxos vote phase (Figs. 2-3) on the shared replica core.
 
-Normal case in view ``v`` with active quorum ``Q`` and leader
-``l = min(Q)`` (Figure 2):
+Normal case in view ``v`` with active quorum ``Q`` and its leader
+(Figure 2):
 
 1. the leader assigns the next slot to a client request and sends a
    signed ``PREPARE`` to the quorum;
 2. quorum members send a ``COMMIT`` — embedding the signed PREPARE — to
    every other quorum member;
-3. a request commits at a member once it holds the PREPARE plus COMMITs
-   from every other member (the leader's PREPARE doubles as its COMMIT,
-   matching the Figure 2 message pattern), and executes in slot order.
+3. a request commits at a member once the core's vote rule is met —
+   with ``|Q| = q``: it holds the PREPARE plus COMMITs from every other
+   member (the leader's PREPARE doubles as its COMMIT, matching the
+   Figure 2 message pattern) — and executes in slot order.
 
 Failure-detector integration follows Section V-A, with the paper's three
 subtleties: on receiving/sending a PREPARE, expect a COMMIT from every
@@ -66,13 +67,10 @@ class XPaxosReplica(ReplicaCore):
     kind_viewchange = KIND_VIEWCHANGE
     kind_newview = KIND_NEWVIEW
     kind_checkpoint = KIND_CHECKPOINT
+    vote_kinds = (KIND_COMMIT,)
     proposal_type = PreparePayload
     slot_state = SlotState
     certificate_is_valid = staticmethod(certificate_is_valid)
-
-    def start(self) -> None:
-        super().start()
-        self.host.subscribe(KIND_COMMIT, self._on_commit)
 
     def _proposal_accepted(self, state: SlotState, body: PreparePayload) -> None:
         self._expect_votes(
@@ -126,13 +124,13 @@ class XPaxosReplica(ReplicaCore):
         state = self._slot(slot)
         if state.committed or state.proposal is None:
             return
-        if self.quorum - {self.pid, self.leader} <= state.commit_messages.keys():
+        if self._quorate(len(state.commit_messages)):
             self._decide(slot, state)
 
     def _certificate_for(self, state: SlotState) -> CommitCertificate:
-        """Commits come from every quorum member except the leader; when
-        this replica is a follower its own (signed) COMMIT completes the
-        set — the leader's commitment is the PREPARE itself."""
+        """The COMMITs received from non-leader members; when this replica
+        is a follower its own (signed) COMMIT completes the set — the
+        leader's commitment is the PREPARE itself."""
         commits = [
             state.commit_messages[member]
             for member in sorted(state.commit_messages)

@@ -1,69 +1,79 @@
-"""Edge-case tests for the PBFT and BChain baselines."""
+"""Edge-case tests for the PBFT-style pattern (``ibft`` on ``all``) and BChain."""
 
 from repro.baselines.bchain import build_bchain_cluster
-from repro.baselines.pbft import build_pbft_cluster
 from repro.failures.adversary import Adversary
+from repro.ibft.messages import KIND_PREPARE, KIND_PREPREPARE, IbftPreparePayload, PrePreparePayload
+from repro.xpaxos.messages import KIND_REPLY, KIND_REQUEST, ClientRequest
+from tests.test_baselines import build_pattern
 
 
 class TestPbftEdgeCases:
     def test_request_to_non_leader_is_forwarded(self):
-        cluster = build_pbft_cluster(n=4, f=1, clients=1, requests_per_client=3, seed=2)
+        system = build_pattern(4, 1, "all", requests=3)
         # Point the client at a non-leader replica.
-        client = list(cluster.clients.values())[0]
-        client.leader = 3
-        cluster.run(200.0)
-        assert cluster.total_completed() == 3
+        client = list(system.clients.values())[0]
+        client.leader_of = lambda view: 3
+        system.run(200.0)
+        assert system.total_completed() == 3
+        assert not system.sim.log.events(kind="client.retry")
 
     def test_duplicate_request_not_reexecuted(self):
-        cluster = build_pbft_cluster(n=4, f=1, clients=1, requests_per_client=3, seed=2)
-        cluster.run(200.0)
-        replica = cluster.replicas[1]
+        system = build_pattern(4, 1, "all", requests=3)
+        system.run(200.0)
+        replica = system.replicas[1]
         executed_before = len(replica.executed)
-        # Replay the client's first signed request directly at the leader.
-        client_host = cluster.sim.host(5)
-        from repro.baselines.pbft import KIND_PBFT_REQUEST
-        from repro.xpaxos.messages import ClientRequest
-
+        # Replay the client's first signed request directly at the leader:
+        # answered from the reply cache, with the result it had.
+        client_host = system.sim.host(5)
+        replies = []
+        client_host.subscribe(KIND_REPLY, lambda kind, payload, src: replies.append(payload))
         replay = client_host.authenticator.sign(
             ClientRequest(client=5, sequence=0, op=("put", "k0-0", 0))
         )
-        client_host.send(1, KIND_PBFT_REQUEST, replay)
-        cluster.run(300.0)
+        client_host.send(1, KIND_REQUEST, replay)
+        system.run(300.0)
         assert len(replica.executed) == executed_before
+        first = next(entry for entry in system.clients[5].completed if entry[0] == 0)
+        assert [(r.payload.sequence, r.payload.result) for r in replies] == [(0, first[2])]
 
     def test_forged_request_ignored(self):
-        cluster = build_pbft_cluster(n=4, f=1, clients=1, requests_per_client=0, seed=2)
-        cluster.sim.start()
-        from repro.baselines.pbft import KIND_PBFT_REQUEST
-        from repro.xpaxos.messages import ClientRequest
-
-        replica_host = cluster.sim.host(2)  # signs as itself, claims client 5
+        system = build_pattern(4, 1, "all", requests=0)
+        system.sim.start()
+        replica_host = system.sim.host(2)  # signs as itself, claims client 5
         forged = replica_host.authenticator.sign(
             ClientRequest(client=5, sequence=0, op=("put", "evil", 1))
         )
-        replica_host.send(1, KIND_PBFT_REQUEST, forged)
-        cluster.run(100.0)
-        assert all(len(r.executed) == 0 for r in cluster.replicas.values())
+        replica_host.send(1, KIND_REQUEST, forged)
+        system.run(100.0)
+        assert all(len(r.executed) == 0 for r in system.replicas.values())
 
     def test_conflicting_phase_votes_ignored(self):
         # A vote whose digest conflicts with the accepted request must not
-        # count towards any threshold.
-        cluster = build_pbft_cluster(n=4, f=1, clients=1, requests_per_client=1, seed=2)
-        cluster.run(100.0)
-        assert cluster.total_completed() == 1
-        replica = cluster.replicas[2]
-        from repro.baselines.pbft import PhasePayload
-
-        state = replica.slots[0]
-        before = len(state.prepares)
-        replica._on_phase(
-            "pbft.prepare",
-            cluster.sim.host(3).authenticator.sign(
-                PhasePayload("prepare", 0, 0, "deadbeef")
-            ),
-            3,
+        # count towards any threshold: p3 and p4 vote for another digest,
+        # so p2 holds 2 of the q = 3 matching PREPAREs and stays unprepared.
+        system = build_pattern(4, 1, "all", requests=0)
+        system.sim.start()
+        replica = system.replicas[2]
+        for voter in (3, 4):
+            vote = system.sim.host(voter).authenticator.sign(
+                IbftPreparePayload(0, 0, "deadbeef")
+            )
+            system.sim.host(2).deliver(KIND_PREPARE, vote, voter)
+        request = system.sim.host(5).authenticator.sign(
+            ClientRequest(client=5, sequence=0, op=("put", "k", 1))
         )
-        assert len(state.prepares) == before
+        proposal = system.sim.host(1).authenticator.sign(PrePreparePayload(0, 0, (request,)))
+        system.sim.host(2).deliver(KIND_PREPREPARE, proposal, 1)
+        state = replica.slots[0]
+        assert set(state.prepare_votes) == {2, 3, 4}
+        assert not state.prepared and not state.committed
+        # One matching vote more and the rule is met.
+        matching = system.sim.host(3).authenticator.sign(
+            IbftPreparePayload(0, 0, state.request_digest)
+        )
+        state.prepare_votes[3] = matching
+        replica._maybe_prepared(0)
+        assert state.prepared
 
 
 class TestBChainEdgeCases:

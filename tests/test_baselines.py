@@ -1,83 +1,87 @@
-"""Tests for the PBFT and BChain baselines."""
+"""Tests for the PBFT-style pattern (``ibft`` on ``all`` / ``qs``) and BChain."""
 
 import pytest
 
 from repro.baselines.bchain import build_bchain_cluster
-from repro.baselines.pbft import build_pbft_cluster
 from repro.failures.adversary import Adversary
+from repro.protocol.system import build_backend_system
 from repro.util.errors import ConfigurationError
+
+
+def build_pattern(n, f, selector, requests, clients=1, seed=2, **options):
+    """PRE-PREPARE / PREPARE / COMMIT among all ``n`` or the active quorum."""
+    ops = [[("put", f"k{c}-{i}", i) for i in range(requests)] for c in range(clients)]
+    return build_backend_system(
+        "ibft", n, f, selector, clients=clients, client_ops=ops, seed=seed, **options
+    )
+
+
+def vote_messages(system):
+    costs = system.protocol_message_costs()["by_kind"]
+    return sum(costs[kind] for kind in system.backend.replica_kinds[:3])
 
 
 class TestPbftFullBroadcast:
     def test_completes_workload(self):
-        cluster = build_pbft_cluster(n=4, f=1, clients=1, requests_per_client=10, seed=2)
-        cluster.run(300.0)
-        assert cluster.total_completed() == 10
+        system = build_pattern(4, 1, "all", requests=10)
+        system.run(300.0)
+        assert system.total_completed() == 10
 
     def test_all_replicas_execute(self):
-        cluster = build_pbft_cluster(n=4, f=1, clients=1, requests_per_client=5, seed=2)
-        cluster.run(200.0)
-        assert all(len(r.executed) == 5 for r in cluster.replicas.values())
+        system = build_pattern(4, 1, "all", requests=5)
+        system.run(200.0)
+        assert all(len(r.executed) == 5 for r in system.replicas.values())
 
     def test_message_count_matches_pattern(self):
-        # Per request: PP (n-1) + PREPARE (n-1)^2 + COMMIT n(n-1).
+        # Per request: PP (n-1) + PREPARE (n-1)^2 + COMMIT (n-1)^2 — the
+        # leader's PRE-PREPARE is its vote in both phases.
         n, requests = 4, 10
-        cluster = build_pbft_cluster(n=n, f=1, clients=1, requests_per_client=requests, seed=2)
-        cluster.run(300.0)
-        expected = requests * ((n - 1) + (n - 1) ** 2 + n * (n - 1))
-        assert cluster.inter_replica_messages() == expected
+        system = build_pattern(n, 1, "all", requests=requests)
+        system.run(300.0)
+        assert vote_messages(system) == requests * (n - 1) * (2 * n - 1)
+        assert system.backend.analytic_messages_per_decision(n) == (n - 1) * (2 * n - 1)
 
     def test_histories_identical(self):
-        cluster = build_pbft_cluster(n=4, f=1, clients=2, requests_per_client=5, seed=3)
-        cluster.run(300.0)
-        digests = {r.kv.state_digest() for r in cluster.replicas.values()}
+        system = build_pattern(4, 1, "all", requests=5, clients=2, seed=3)
+        system.run(300.0)
+        digests = {r.kv.state_digest() for r in system.replicas.values()}
         assert len(digests) == 1
 
 
 class TestPbftActiveQuorum:
     def test_completes_with_active_quorum(self):
-        cluster = build_pbft_cluster(
-            n=7, f=2, active=range(1, 6), clients=1, requests_per_client=10, seed=2
-        )
-        cluster.run(300.0)
-        assert cluster.total_completed() == 10
+        system = build_pattern(7, 2, "qs", requests=10)
+        system.run(300.0)
+        assert system.total_completed() == 10
 
     def test_passive_replicas_send_nothing(self):
-        cluster = build_pbft_cluster(
-            n=7, f=2, active=range(1, 6), clients=1, requests_per_client=5, seed=2
-        )
-        cluster.run(200.0)
+        system = build_pattern(7, 2, "qs", requests=5, heartbeats=False)
+        system.run(200.0)
+        assert system.total_completed() == 5
         for passive in (6, 7):
             sent = sum(
                 count
-                for (src, _), count in cluster.sim.stats.sent_by_link.items()
+                for (src, _), count in system.sim.stats.sent_by_link.items()
                 if src == passive
             )
             assert sent == 0
 
     def test_message_count_matches_restricted_pattern(self):
-        # Active size a: PP (a-1) + PREPARE (a-1)^2 + COMMIT a(a-1).
+        # Active size a = n - f: PP (a-1) + PREPARE (a-1)^2 + COMMIT (a-1)^2.
         a, requests = 5, 10
-        cluster = build_pbft_cluster(
-            n=7, f=2, active=range(1, 6), clients=1, requests_per_client=requests, seed=2
-        )
-        cluster.run(300.0)
-        expected = requests * ((a - 1) + (a - 1) ** 2 + a * (a - 1))
-        assert cluster.inter_replica_messages() == expected
+        system = build_pattern(7, 2, "qs", requests=requests)
+        system.run(300.0)
+        assert vote_messages(system) == requests * (a - 1) * (2 * a - 1)
 
-    def test_rejects_too_small_active_set(self):
+    def test_small_group_needs_no_thresholds(self):
+        # n = 2f + 1 (the trusted-component / XFT family): the one vote
+        # rule — n - f matching votes — covers it, full broadcast or active.
+        for selector in ("all", "qs"):
+            system = build_pattern(5, 2, selector, requests=5)
+            system.run(200.0)
+            assert system.total_completed() == 5
         with pytest.raises(ConfigurationError):
-            build_pbft_cluster(n=7, f=2, active=range(1, 5))
-
-    def test_small_group_needs_explicit_thresholds(self):
-        with pytest.raises(ConfigurationError):
-            build_pbft_cluster(n=5, f=2)
-        cluster = build_pbft_cluster(
-            n=5, f=2, prepare_quorum=2, commit_quorum=3,
-            clients=1, requests_per_client=5, seed=2,
-        )
-        cluster.run(200.0)
-        assert cluster.total_completed() == 5
+            build_pattern(4, 2, "all", requests=1)  # n <= 2f
 
 
 class TestBChain:

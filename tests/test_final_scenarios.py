@@ -1,15 +1,16 @@
 """Last-mile scenario tests: mid-flight failures and double faults."""
 
 from repro.core.spec import agreement_holds, no_link_suspicion_holds
-from repro.leadercentric import build_star_system
 from tests.test_core_chain_selection import build_cs_world
+from tests.test_leadercentric import build_star_system
 
 
 class TestStarMidFlightCrash:
     def test_leader_crash_with_requests_in_flight(self):
         # The leader dies the instant the first requests are in flight:
-        # retransmission + SYNC/ADOPT recover them under the new leader.
-        system = build_star_system(n=7, f=2, clients=2, seed=17, client_retry=15.0)
+        # retransmission + certified state transfer recover them under
+        # the new leader.
+        system = build_star_system(clients=2, seed=17, client_retry=15.0)
         system.adversary.crash(1, at=2.0)
         system.run(1200.0)
         assert system.total_completed() == 40
@@ -17,7 +18,7 @@ class TestStarMidFlightCrash:
         assert system.current_config()[0] != 1
 
     def test_two_sequential_leader_crashes(self):
-        system = build_star_system(n=7, f=2, clients=1, seed=19, client_retry=15.0)
+        system = build_star_system(clients=1, seed=19, client_retry=15.0)
         system.adversary.crash(1, at=10.0)
 
         def crash_next_leader():

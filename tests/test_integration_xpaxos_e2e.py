@@ -39,7 +39,7 @@ class TestSelectionVsEnumeration:
             (comparison.enumeration, enum_views),
         ):
             view = views.pop()
-            quorum = system.replicas[2].policy.quorum_of(view)
+            quorum = system.replicas[2].selector.quorum_of(view)
             assert 1 not in quorum
 
 

@@ -1,13 +1,15 @@
 """Backend conformance battery: every ProtocolBackend honours the contract.
 
-One parametrized suite, run against each registered backend through the
-shared :func:`~repro.protocol.system.build_backend_system` harness.  The
-contract under test is the quorum-consumption side of the paper's
-interface: replicas execute client operations safely, adopt exactly the
-quorums Quorum Selection issues, re-stabilize after losing their leader,
-survive crash/recovery churn, and converge under chaotic networks —
-independent of whether the vote phase is XPaxos's two-phase COMMITs or
-IBFT's three-phase digest votes.  Everything the shared
+One parametrized suite, run against each registered backend on each
+selection module (``qs`` — Algorithm 1, ``fs`` — Algorithm 2 at
+``n = 3f + 1``) through :func:`~repro.protocol.system.build_backend_system`,
+plus ``ibft`` on the static ``all`` selector.  The contract under test is
+the quorum-consumption side of the paper's interface: replicas execute
+client operations safely, adopt exactly the leader and quorum their
+selection module issues, re-stabilize after losing their leader, survive
+crash/recovery churn, and converge under chaotic networks — independent
+of whether the vote phase is XPaxos's two-phase COMMITs, IBFT's
+three-phase digest votes or the star's ACKs to the leader.  Everything the shared
 :class:`~repro.protocol.replica.ReplicaCore` owns — checkpoints and
 snapshot state transfer, the batch window, decision-change bookkeeping —
 is checked here once per backend.
@@ -15,57 +17,87 @@ is checked here once per backend.
 
 import pytest
 
-from repro.ibft.messages import KIND_ROUNDCHANGE
+from repro.analysis.bounds import thm9_per_epoch_bound
 from repro.net.parity import thm3_bound
 from repro.net.wire import encode_frame_body
-from repro.protocol.backend import backend_names
+from repro.protocol.backend import backend_names, get_backend
 from repro.protocol.system import build_backend_system
 from repro.service.loadgen import LoadGenerator, Workload
 from repro.sim.network import ChaosConfig
 from repro.sim.worlds import build_kv_service_world
 from repro.util.errors import ConfigurationError
-from repro.xpaxos.messages import (
-    KIND_REQUEST,
-    KIND_VIEWCHANGE,
-    ClientRequest,
-    ViewChangePayload,
-)
+from repro.xpaxos.messages import KIND_REQUEST, ClientRequest, ViewChangePayload
 
 PROTOCOLS = sorted(backend_names())
 #: Every backend's decision-change report kind (each backend uses one).
-CHANGE_KINDS = (KIND_VIEWCHANGE, KIND_ROUNDCHANGE)
+CHANGE_KINDS = tuple(get_backend(p).replica_class.kind_viewchange for p in PROTOCOLS)
+
+
+#: Every backend on both selection modules; ``qs`` ids stay bare.
+SELECTED = [
+    pytest.param((protocol, selector),
+                 id=protocol if selector == "qs" else f"{protocol}-{selector}")
+    for selector in ("qs", "fs") for protocol in PROTOCOLS
+]
 
 
 @pytest.fixture(params=PROTOCOLS)
 def protocol(request):
+    """Service worlds mount Quorum Selection only."""
     return request.param
 
 
-def assert_quorum_adoption_matches_qs(system):
-    """Every correct replica runs exactly the quorum its QS module issued."""
+@pytest.fixture(params=SELECTED)
+def mount(request):
+    return request.param
+
+
+@pytest.fixture(params=SELECTED + [pytest.param(("ibft", "all"), id="ibft-all")])
+def any_mount(request):
+    return request.param
+
+
+def build(mount, n, f, **options):
+    """The mounted system; Follower Selection gets its ``n = 3f + 1``."""
+    protocol, selector = mount
+    if selector == "fs":
+        n = max(n, 3 * f + 1)
+    return build_backend_system(protocol, n, f, selector, **options)
+
+
+def initial_leader(system):
+    return system.replicas[1].selector.leader_of(0)
+
+
+def assert_adoption_matches_selection(system):
+    """Every correct replica runs exactly what its selection module issued."""
     faulty = system.adversary.faulty if system.adversary else set()
-    for pid in system.replica_pids:
+    for pid, module in system.qs_modules.items():
         if pid in faulty or not system.sim.host(pid).running:
             continue
         status = system.observe(pid)
-        assert status.quorum == frozenset(system.qs_modules[pid].current_quorum), (
+        assert status.quorum == frozenset(module.current_quorum), (
             f"{status.protocol} p{pid}: replica quorum {sorted(status.quorum)} "
-            f"!= QS {sorted(system.qs_modules[pid].current_quorum)}"
+            f"!= selected {sorted(module.current_quorum)}"
         )
+        # Algorithm 2 names the leader too; Algorithm 1 implies the lowest id.
+        assert status.leader == getattr(module, "leader", min(status.quorum))
 
 
-def assert_thm3_envelope(system):
+def assert_epoch_envelope(system):
+    """Theorem 3 (``f(f+1)``) resp. Theorem 9 (``3f+1``) quorums per epoch."""
     faulty = system.adversary.faulty if system.adversary else set()
-    bound = thm3_bound(system.f)
-    for pid, qs in system.qs_modules.items():
+    for pid, module in system.qs_modules.items():
         if pid in faulty:
             continue
-        assert qs.max_quorums_in_any_epoch() <= bound
+        follower_selection = hasattr(module, "leader")
+        bound = (thm9_per_epoch_bound if follower_selection else thm3_bound)(system.f)
+        assert module.max_quorums_in_any_epoch() <= bound
 
 
 class TestAgreementSafety:
-    def test_fault_free_run_completes_and_agrees(self, protocol):
-        system = build_backend_system(protocol, n=4, f=1, clients=2, seed=3)
+    def test_fault_free_run_completes_and_agrees(self, any_mount):
+        system = build(any_mount, n=4, f=1, clients=2, seed=3)
         system.run(600.0)
 
         assert system.total_completed() == 40
@@ -78,23 +110,49 @@ class TestAgreementSafety:
         executed = {system.observe(pid).executed for pid in system.replica_pids
                     if pid in system.observe(pid).quorum}
         assert executed == {40}
-        assert_quorum_adoption_matches_qs(system)
+        assert_adoption_matches_selection(system)
 
-    def test_observe_reports_the_backend_contract(self, protocol):
-        system = build_backend_system(protocol, n=4, f=1, clients=1, seed=3)
+    def test_observe_reports_the_backend_contract(self, any_mount):
+        system = build(any_mount, n=4, f=1, clients=1, seed=3)
         system.run(300.0)
         status = system.observe(1)
-        assert status.protocol == protocol == system.backend.name
-        assert system.backend.decision_term in ("view", "round")
-        assert status.decision_number >= 0
-        assert len(status.quorum) == system.n - system.f
-        assert status.leader == min(status.quorum)
+        assert status.protocol == any_mount[0] == system.backend.name
+        replica_class = system.backend.replica_class
+        assert system.backend.decision_term == replica_class.term
+        assert system.backend.fd_group == replica_class.fd_group
+        assert system.backend.replica_kinds == replica_class.wire_kinds()
+        assert status.decision_number == 0
+        assert len(status.quorum) == (4 if any_mount[1] == "all" else 3)
+        assert status.leader == 1 and status.leader in status.quorum
+
+    def test_all_replicas_decide_on_q_matching_votes(self):
+        """``ibft`` on ``all`` at n=7 f=2: the classic broadcast pattern,
+        ``(n-1)(2n-1)`` messages per decision, and ``f`` silent non-leader
+        replicas cost nothing but their votes."""
+        ops = [[("put", f"k{i}", i) for i in range(10)]]
+        system = build_backend_system("ibft", 7, 2, "all", client_ops=ops, seed=7)
+        system.run(400.0)
+        assert system.total_completed() == 10
+        assert system.protocol_message_costs()["per_decision"] == 6 * 13 == 78
+
+        system = build_backend_system("ibft", 7, 2, "all", client_ops=ops, seed=7)
+        for silent in (3, 6):
+            system.adversary.crash(silent, at=0.5)
+        system.run(600.0)
+        assert system.total_completed() == 10 and system.histories_consistent()
+        for replica in system.correct_replicas():
+            assert len(replica.executed) == 10 and replica.view == 0
+            for index, certificate in enumerate(replica.executed_certs):
+                assert len(certificate.commits) + 1 >= replica.q
+                assert replica.certificate_is_valid(
+                    certificate, index, replica.selector, replica._verify
+                )
 
 
 class TestQuorumAdoption:
-    def test_replicas_follow_qs_after_quorum_member_dies(self, protocol):
-        system = build_backend_system(protocol, n=5, f=2, clients=1, seed=3)
-        victim = min(system.replicas[1].policy.quorum_of(0))
+    def test_replicas_follow_qs_after_quorum_member_dies(self, mount):
+        system = build(mount, n=5, f=2, clients=1, seed=3)
+        victim = initial_leader(system)
         system.adversary.crash(victim, at=60.0)
         system.run(900.0)
 
@@ -104,14 +162,14 @@ class TestQuorumAdoption:
             if pid == victim:
                 continue
             assert victim not in system.observe(pid).quorum
-        assert_quorum_adoption_matches_qs(system)
-        assert_thm3_envelope(system)
+        assert_adoption_matches_selection(system)
+        assert_epoch_envelope(system)
 
 
 class TestLeaderKillRestabilization:
-    def test_workload_survives_leader_kill(self, protocol):
-        system = build_backend_system(protocol, n=4, f=1, clients=2, seed=7)
-        leader = min(system.replicas[1].policy.quorum_of(0))
+    def test_workload_survives_leader_kill(self, mount):
+        system = build(mount, n=4, f=1, clients=2, seed=7)
+        leader = initial_leader(system)
         system.adversary.crash(leader, at=40.0)
         system.run(900.0)
 
@@ -125,13 +183,13 @@ class TestLeaderKillRestabilization:
             if pid in status.quorum:
                 assert status.status == "normal"
                 assert status.decision_number > 0
-        assert_thm3_envelope(system)
+        assert_epoch_envelope(system)
 
 
 class TestCrashRecovery:
-    def test_killed_leader_recovering_keeps_safety_and_liveness(self, protocol):
-        system = build_backend_system(protocol, n=4, f=1, clients=2, seed=11)
-        leader = min(system.replicas[1].policy.quorum_of(0))
+    def test_killed_leader_recovering_keeps_safety_and_liveness(self, mount):
+        system = build(mount, n=4, f=1, clients=2, seed=11)
+        leader = initial_leader(system)
         system.adversary.crash(leader, at=40.0)
         system.sim.at(
             200.0,
@@ -143,13 +201,17 @@ class TestCrashRecovery:
         assert system.sim.host(leader).running
         assert system.total_completed() == 40
         assert system.histories_consistent()
-        assert_thm3_envelope(system)
+        assert_epoch_envelope(system)
 
     def test_non_quorum_member_churn_changes_nothing(self, protocol):
-        """Killing and recovering a spare never forces a quorum change."""
+        """Killing and recovering a spare never forces a quorum change.
+
+        Quorum Selection only: under Algorithm 2 the leader's suspicion of
+        the dead spare is a suspicion on a leader link, and moves the leader.
+        """
         system = build_backend_system(protocol, n=5, f=2, clients=1, seed=3)
         spare = max(system.replica_pids)
-        assert spare not in system.replicas[1].policy.quorum_of(0)
+        assert spare not in system.replicas[1].selector.quorum_of(0)
         system.adversary.crash(spare, at=40.0)
         system.sim.at(
             100.0, lambda: system.sim.host(spare).recover(),
@@ -164,14 +226,14 @@ class TestCrashRecovery:
             assert status.decision_number == 0
         for qs in system.qs_modules.values():
             assert qs.total_quorums_issued() == 0
-        assert_quorum_adoption_matches_qs(system)
+        assert_adoption_matches_selection(system)
 
 
 class TestChaosConvergence:
-    def test_lossy_network_converges_safely(self, protocol):
+    def test_lossy_network_converges_safely(self, mount):
         """Chaos may cost liveness windows and false suspicions — never safety."""
-        system = build_backend_system(
-            protocol, n=4, f=1, clients=1, seed=3,
+        system = build(
+            mount, n=4, f=1, clients=1, seed=3,
             chaos=ChaosConfig(drop=0.02, duplicate=0.02, reorder=0.05),
             client_retry=20.0,
         )
@@ -182,13 +244,13 @@ class TestChaosConvergence:
         # No Theorem 3 claim here: random loss falsely implicates correct
         # processes, voiding the <=f-faults premise.  What must survive
         # chaos is safety plus the adoption contract.
-        assert_quorum_adoption_matches_qs(system)
+        assert_adoption_matches_selection(system)
 
 
-def checkpointed_leader_kill(protocol):
+def checkpointed_leader_kill(mount):
     """Two clients, a checkpoint every 5 slots, the leader dies at t=60."""
-    system = build_backend_system(
-        protocol, n=5, f=2, clients=2, seed=9,
+    system = build(
+        mount, n=5, f=2, clients=2, seed=9,
         checkpoint_interval=5, client_think_time=3.0,
     )
     system.adversary.crash(1, at=60.0)
@@ -199,10 +261,8 @@ def checkpointed_leader_kill(protocol):
 class TestCheckpointing:
     """Log compaction and snapshot state transfer live in the shared core."""
 
-    def test_compaction_bounds_the_certificate_log(self, protocol):
-        system = build_backend_system(
-            protocol, n=5, f=2, clients=2, seed=7, checkpoint_interval=10
-        )
+    def test_compaction_bounds_the_certificate_log(self, any_mount):
+        system = build(any_mount, n=5, f=2, clients=2, seed=7, checkpoint_interval=10)
         system.run(600.0)
         assert system.total_completed() == 40
         for pid in sorted(system.observe(1).quorum):
@@ -224,10 +284,10 @@ class TestCheckpointing:
         with pytest.raises(ConfigurationError):
             build_backend_system(protocol, n=5, f=2, checkpoint_interval=0)
 
-    def test_lagging_replica_adopts_a_snapshot(self, protocol):
-        # p4/p5 were passive in decision 0; joining the next quorum they
-        # catch up through the certified snapshot, not a slot-0 replay.
-        system = checkpointed_leader_kill(protocol)
+    def test_lagging_replica_adopts_a_snapshot(self, mount):
+        # The spares were passive in decision 0; joining the next quorum
+        # they catch up through the certified snapshot, not a slot-0 replay.
+        system = checkpointed_leader_kill(mount)
         assert system.total_completed() == 40
         assert system.histories_consistent()
         kinds = [event.kind.partition(".")[2] for event in system.sim.log]
@@ -323,10 +383,10 @@ class TestBatchWindow:
         for pid in (1, 2, 4, 5):
             assert system.qs_modules[pid].total_quorums_issued() == 1
 
-    def test_short_crash_does_not_wedge_the_window(self, protocol):
+    def test_short_crash_does_not_wedge_the_window(self, mount):
         """Crash cancels the flush timer; recovery must re-arm it."""
-        system = build_backend_system(
-            protocol, n=3, f=1, clients=1, client_ops=[[("put", "k", 1)]], seed=1,
+        system = build(
+            mount, n=3, f=1, clients=1, client_ops=[[("put", "k", 1)]], seed=1,
             batch_size=8, batch_window=50.0,
         )
         # Between two heartbeats: nobody notices, p1 keeps leading.
@@ -340,10 +400,16 @@ class TestBatchWindow:
 
 
 class TestDecisionChangeReportsStayBounded:
-    def test_old_reports_are_dropped_across_leader_kills(self, protocol):
-        system = build_backend_system(protocol, n=5, f=2, clients=1, seed=3)
+    def test_old_reports_are_dropped_across_leader_kills(self, mount):
+        system = build(mount, n=5, f=2, clients=1, seed=3)
         system.adversary.crash(1, at=40.0)
-        system.adversary.crash(2, at=300.0)
+        system.sim.at(
+            300.0, lambda: system.adversary.crash(
+                next(r.leader for r in system.correct_replicas() if r.in_quorum),
+                at=system.sim.now + 1.0,
+            ),
+            label="crash-second-leader",
+        )
         system.run(900.0)
         assert system.total_completed() == 20
         for replica in system.correct_replicas():

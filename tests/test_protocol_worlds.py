@@ -14,6 +14,7 @@ import pytest
 from repro.net.cluster import ClusterConfig
 from repro.net.node import NodeConfig
 from repro.protocol.backend import backend_names, get_backend
+from repro.protocol.selector import SELECTORS
 from repro.protocol.system import build_backend_system
 from repro.service.loadgen import run_sim_load
 from repro.sim.worlds import build_kv_service_world
@@ -49,10 +50,18 @@ class TestWorldsBuildWithEitherBackend:
         assert report["digests_agree"]
 
     def test_backend_system_builds_for_every_registered_name(self, protocol):
-        system = build_backend_system(protocol, n=4, f=1, clients=1, seed=3)
-        assert system.backend.name == protocol
-        system.run(120.0)
-        assert system.total_completed() > 0
+        """... on every registered selector, from the one builder."""
+        for selector in sorted(SELECTORS):
+            system = build_backend_system(protocol, 4, 1, selector, clients=1, seed=3)
+            assert system.backend.name == protocol
+            assert isinstance(system.replicas[1].selector, SELECTORS[selector])
+            assert set(system.qs_modules) == (
+                set() if selector in ("enum", "all") else {1, 2, 3, 4}
+            )
+            system.run(120.0)
+            assert system.total_completed() > 0, selector
+            # The client addressed the selector's leader: no retry broadcast.
+            assert not system.sim.log.events(kind="client.retry")
 
 
 class TestUnknownProtocolIsRejectedEverywhere:
@@ -67,6 +76,8 @@ class TestUnknownProtocolIsRejectedEverywhere:
     def test_backend_system_rejects_unknown_name(self):
         with pytest.raises(ConfigurationError):
             build_backend_system("nope", n=4, f=1)
+        with pytest.raises(ConfigurationError):
+            build_backend_system("xpaxos", n=4, f=1, selector="nope")
 
     def test_node_config_rejects_unknown_name(self):
         config = NodeConfig(pid=1, n=4, f=1, service="kv", protocol="nope")

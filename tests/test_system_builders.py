@@ -3,7 +3,7 @@
 import pytest
 
 from repro.util.errors import ConfigurationError
-from repro.xpaxos.system import XPaxosSystem, build_system
+from repro.xpaxos.system import build_system
 
 
 class TestBuildSystemValidation:

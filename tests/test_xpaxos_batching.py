@@ -68,7 +68,7 @@ class TestBatchingCorrectness:
         replica = system.replicas[4]
         verify = system.sim.host(4).authenticator.verify
         for index, cert in enumerate(replica.executed_certs):
-            assert certificate_is_valid(cert, index, replica.policy.quorum_of, verify)
+            assert certificate_is_valid(cert, index, replica.selector, verify)
 
     def test_default_batching_is_one_per_slot(self):
         system = build_system(n=5, f=2, clients=1, seed=7)

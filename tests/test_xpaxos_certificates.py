@@ -10,7 +10,7 @@ end.
 import pytest
 
 from repro.crypto.authenticator import SignedMessage
-from repro.protocol.enumeration import quorum_for_view
+from repro.protocol.selector import make_selector
 from repro.xpaxos.messages import (
     KIND_VIEWCHANGE,
     ClientRequest,
@@ -29,8 +29,8 @@ def make_world():
     return system
 
 
-def quorum_of(view):
-    return quorum_for_view(view, 5, 3)
+SELECTOR = make_selector("qs", 5, 2)
+quorum_of = SELECTOR.quorum_of
 
 
 def build_valid_certificate(system, view=0, slot=0, op=("put", "k", 1)):
@@ -60,23 +60,23 @@ class TestCertificateVerifier:
 
     def test_genuine_certificate_validates(self):
         cert = build_valid_certificate(self.system)
-        assert certificate_is_valid(cert, 0, quorum_of, self.verify)
+        assert certificate_is_valid(cert, 0, SELECTOR, self.verify)
 
     def test_wrong_slot_rejected(self):
         cert = build_valid_certificate(self.system, slot=0)
-        assert not certificate_is_valid(cert, 1, quorum_of, self.verify)
+        assert not certificate_is_valid(cert, 1, SELECTOR, self.verify)
 
     def test_missing_commit_rejected(self):
         cert = build_valid_certificate(self.system)
         truncated = CommitCertificate(prepare=cert.prepare, commits=cert.commits[:1])
-        assert not certificate_is_valid(truncated, 0, quorum_of, self.verify)
+        assert not certificate_is_valid(truncated, 0, SELECTOR, self.verify)
 
     def test_duplicate_commit_does_not_substitute(self):
         cert = build_valid_certificate(self.system)
         padded = CommitCertificate(
             prepare=cert.prepare, commits=(cert.commits[0], cert.commits[0])
         )
-        assert not certificate_is_valid(padded, 0, quorum_of, self.verify)
+        assert not certificate_is_valid(padded, 0, SELECTOR, self.verify)
 
     def test_prepare_not_from_view_leader_rejected(self):
         # p2 (a follower) signs the PREPARE instead of the view-0 leader.
@@ -96,7 +96,7 @@ class TestCertificateVerifier:
             for member in (2, 3)
         )
         cert = CommitCertificate(prepare=prepare, commits=commits)
-        assert not certificate_is_valid(cert, 0, quorum_of, self.verify)
+        assert not certificate_is_valid(cert, 0, SELECTOR, self.verify)
 
     def test_unsigned_client_request_rejected(self):
         # The leader fabricates a request the client never signed.
@@ -115,7 +115,7 @@ class TestCertificateVerifier:
             for member in (2, 3)
         )
         cert = CommitCertificate(prepare=prepare, commits=commits)
-        assert not certificate_is_valid(cert, 0, quorum_of, self.verify)
+        assert not certificate_is_valid(cert, 0, SELECTOR, self.verify)
 
     def test_commit_digest_mismatch_rejected(self):
         # Commits refer to a different request than the certificate's
@@ -125,7 +125,7 @@ class TestCertificateVerifier:
         frankenstein = CommitCertificate(
             prepare=cert_a.prepare, commits=cert_b.commits
         )
-        assert not certificate_is_valid(frankenstein, 0, quorum_of, self.verify)
+        assert not certificate_is_valid(frankenstein, 0, SELECTOR, self.verify)
 
     def test_commit_from_outside_quorum_rejected(self):
         system = self.system
@@ -136,7 +136,7 @@ class TestCertificateVerifier:
         cert2 = CommitCertificate(
             prepare=cert.prepare, commits=(cert.commits[0], outsider_commit)
         )
-        assert not certificate_is_valid(cert2, 0, quorum_of, self.verify)
+        assert not certificate_is_valid(cert2, 0, SELECTOR, self.verify)
 
 
 class TestForgedViewChangeEndToEnd:
@@ -176,5 +176,52 @@ class TestForgedViewChangeEndToEnd:
         verify = system.sim.host(4).authenticator.verify
         for index, cert in enumerate(replica.executed_certs):
             assert certificate_is_valid(
-                cert, index, replica.policy.quorum_of, verify
+                cert, index, replica.selector, verify
             )
+
+
+class TestValidatorsAskTheSelector:
+    """Who leads a view is the selector's call, not ``min(quorum)``."""
+
+    N, F, LEADER, QUORUM = 7, 2, 4, frozenset({1, 2, 3, 4, 5})
+
+    def certificates(self, system, view, leader):
+        """One certificate per backend for ``view``, proposals signed by ``leader``."""
+        from repro.ibft.messages import IbftCommitCertificate, IbftCommitPayload, PrePreparePayload
+        from repro.leadercentric.star import AckPayload, DecidePayload, ProposePayload
+
+        def sign(pid, body):
+            return system.sim.host(pid).authenticator.sign(body)
+
+        batch = (sign(8, ClientRequest(client=8, sequence=0, op=("put", "k", 1))),)
+        voters = sorted(self.QUORUM - {leader})
+        prepare = sign(leader, PreparePayload(view, 0, batch))
+        preprepare = sign(leader, PrePreparePayload(view, 0, batch))
+        propose = sign(leader, ProposePayload(view, 0, batch))
+        commit = IbftCommitPayload(view, 0, preprepare.payload.request_digest())
+        ack = AckPayload(view, 0, propose.payload.request_digest())
+        return {
+            "xpaxos": CommitCertificate(
+                prepare, tuple(sign(p, CommitPayload(view, 0, prepare)) for p in voters)),
+            "ibft": IbftCommitCertificate(preprepare, tuple(sign(p, commit) for p in voters)),
+            "star": DecidePayload(view, 0, propose, tuple(sign(p, ack) for p in voters)),
+        }
+
+    def test_proposal_signed_by_lowest_id_but_not_the_fs_leader_is_rejected(self):
+        from repro.protocol.backend import get_backend
+        from repro.protocol.system import build_backend_system
+
+        system = build_backend_system("xpaxos", self.N, self.F, "fs", clients=1, client_ops=[[]])
+        system.sim.start()
+        verify = system.sim.host(6).authenticator.verify
+        fs = make_selector("fs", self.N, self.F)
+        view = fs.view_on_selected(
+            type("Selected", (), {"leader": self.LEADER, "quorum": self.QUORUM}), 0
+        )
+        assert fs.leader_of(view) == self.LEADER != min(fs.quorum_of(view))
+        by_lowest = self.certificates(system, view, leader=min(self.QUORUM))
+        by_leader = self.certificates(system, view, leader=self.LEADER)
+        for protocol in ("xpaxos", "ibft", "star"):
+            is_valid = get_backend(protocol).replica_class.certificate_is_valid
+            assert is_valid(by_leader[protocol], 0, fs, verify), protocol
+            assert not is_valid(by_lowest[protocol], 0, fs, verify), protocol

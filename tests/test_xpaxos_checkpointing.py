@@ -42,7 +42,7 @@ class TestCheckpointFormation:
         certificate, snapshot = replica.checkpoint
         assert digest(snapshot) == certificate.payload.state_digest
         assert checkpoint_certificate_is_valid(
-            certificate, replica.policy.quorum_of, system.sim.host(2).authenticator.verify
+            certificate, replica.selector, system.sim.host(2).authenticator.verify
         )
 
     def test_rejects_bad_interval(self):
@@ -101,16 +101,16 @@ class TestCheckpointCertificateValidation:
         self.replica = self.system.replicas[2]
         self.certificate, self.snapshot = self.replica.checkpoint
         self.verify = self.system.sim.host(2).authenticator.verify
-        self.quorum_of = self.replica.policy.quorum_of
+        self.selector = self.replica.selector
 
     def test_genuine_validates(self):
         assert checkpoint_certificate_is_valid(
-            self.certificate, self.quorum_of, self.verify
+            self.certificate, self.selector, self.verify
         )
 
     def test_missing_vote_rejected(self):
         truncated = CheckpointCertificate(votes=self.certificate.votes[:-1])
-        assert not checkpoint_certificate_is_valid(truncated, self.quorum_of, self.verify)
+        assert not checkpoint_certificate_is_valid(truncated, self.selector, self.verify)
 
     def test_mixed_payloads_rejected(self):
         # Replace one vote with a vote for a different slot count.
@@ -119,13 +119,13 @@ class TestCheckpointCertificateValidation:
             CheckpointPayload(view=0, slot_count=999, state_digest="beef")
         )
         mixed = CheckpointCertificate(votes=(rogue, *self.certificate.votes[1:]))
-        assert not checkpoint_certificate_is_valid(mixed, self.quorum_of, self.verify)
+        assert not checkpoint_certificate_is_valid(mixed, self.selector, self.verify)
 
     def test_empty_or_garbage_rejected(self):
         assert not checkpoint_certificate_is_valid(
-            CheckpointCertificate(votes=()), self.quorum_of, self.verify
+            CheckpointCertificate(votes=()), self.selector, self.verify
         )
-        assert not checkpoint_certificate_is_valid("junk", self.quorum_of, self.verify)
+        assert not checkpoint_certificate_is_valid("junk", self.selector, self.verify)
 
     def test_snapshot_tamper_detected_via_digest(self):
         tampered = (*self.snapshot[:3], (("stolen-key", 1),), self.snapshot[4])

@@ -1,55 +1,122 @@
-"""Tests for the XPaxos client and the quorum policies."""
+"""Tests for the XPaxos client and the selectors it and the replicas consult."""
+
+from types import SimpleNamespace
 
 import pytest
 
-from repro.protocol.enumeration import quorum_for_view
-from repro.protocol.policy import EnumerationPolicy, SelectionPolicy
+from repro.protocol.enumeration import config_for_view, quorum_for_view, view_for_config
+from repro.protocol.selector import SELECTORS, as_selector, make_selector
+from repro.util.errors import ConfigurationError
 from repro.xpaxos.system import build_system
+
+
+def selected(quorum, leader=None):
+    """A ``<QUORUM, ...>`` event as a selector reads it."""
+    return SimpleNamespace(quorum=frozenset(quorum), leader=leader)
 
 
 class TestEnumerationPolicy:
     def setup_method(self):
-        self.policy = EnumerationPolicy(5, 2)
+        self.policy = make_selector("enum", 5, 2)
 
     def test_quorum_and_leader(self):
         assert self.policy.quorum_of(0) == frozenset({1, 2, 3})
         assert self.policy.leader_of(0) == 1
         assert self.policy.leader_of(6) == min(quorum_for_view(6, 5, 3))
+        assert self.policy.module is None and self.policy.accepts(99)
 
     def test_suspicion_in_quorum_advances_one_view(self):
-        assert self.policy.next_view_on_suspicion(0, frozenset({2})) == 1
+        assert self.policy.view_on_suspicion(0, frozenset({2})) == 1
 
     def test_suspicion_outside_quorum_ignored(self):
-        assert self.policy.next_view_on_suspicion(0, frozenset({5})) is None
+        assert self.policy.view_on_suspicion(0, frozenset({5})) is None
 
     def test_ignores_selected_quorums(self):
-        assert self.policy.view_for_selected_quorum(frozenset({2, 3, 4}), 0) is None
+        assert self.policy.view_on_selected(selected({2, 3, 4}), 0) is None
 
 
 class TestSelectionPolicy:
     def setup_method(self):
-        self.policy = SelectionPolicy(5, 2)
+        self.policy = make_selector("qs", 5, 2)
 
     def test_suspicions_alone_do_not_move_views(self):
-        assert self.policy.next_view_on_suspicion(0, frozenset({1, 2, 3})) is None
+        assert self.policy.view_on_suspicion(0, frozenset({1, 2, 3})) is None
 
     def test_selected_quorum_maps_to_its_view(self):
         target = frozenset({2, 3, 4})
-        view = self.policy.view_for_selected_quorum(target, 0)
+        view = self.policy.view_on_selected(selected(target), 0)
         assert view is not None
         assert self.policy.quorum_of(view) == target
 
     def test_current_quorum_is_a_no_op(self):
         current = self.policy.quorum_of(3)
-        assert self.policy.view_for_selected_quorum(current, 3) is None
+        assert self.policy.view_on_selected(selected(current), 3) is None
 
     def test_same_quorum_next_cycle_when_behind(self):
         # Selecting a quorum whose rank is behind the current view jumps
         # a full enumeration cycle forward.
         target = self.policy.quorum_of(0)
-        view = self.policy.view_for_selected_quorum(target, 5)
+        view = self.policy.view_on_selected(selected(target), 5)
         assert view == 10  # rank 0 + one C(5,3)=10 cycle
         assert self.policy.quorum_of(view) == target
+
+
+class TestFollowerAndAllSelectors:
+    N, F, Q = 7, 2, 5
+
+    def test_fs_view_zero_is_the_default_configuration(self):
+        fs = make_selector("fs", self.N, self.F)
+        assert (fs.leader_of(0), fs.quorum_of(0)) == (1, frozenset(range(1, 6)))
+
+    def test_fs_enumeration_round_trips_and_respects_min_view(self):
+        cycle = self.N * 15  # n * C(n-1, q-1)
+        seen = set()
+        for view in range(cycle):
+            leader, quorum = config_for_view(view, self.N, self.Q)
+            assert leader in quorum and len(quorum) == self.Q
+            seen.add((leader, quorum))
+            assert view_for_config(leader, quorum, self.N, self.Q, 0) == view
+            for min_view in (view, view + 1, cycle + 3):
+                again = view_for_config(leader, quorum, self.N, self.Q, min_view)
+                assert again >= min_view and again % cycle == view
+        assert len(seen) == cycle
+        assert config_for_view(cycle + 4, self.N, self.Q) == config_for_view(4, self.N, self.Q)
+
+    def test_fs_leader_need_not_be_the_lowest_id(self):
+        fs = make_selector("fs", self.N, self.F)
+        event = selected({1, 2, 3, 4, 5}, leader=4)
+        view = fs.view_on_selected(event, 0)
+        assert view > 0 and fs.leader_of(view) == 4 != min(fs.quorum_of(view))
+        assert fs.view_on_selected(event, view) is None  # already there
+        assert fs.view_on_suspicion(view, frozenset({4})) is None
+
+    def test_fs_rejects_n_not_above_3f(self):
+        with pytest.raises(ConfigurationError):
+            make_selector("fs", 6, 2)
+        with pytest.raises(ConfigurationError):
+            view_for_config(6, {1, 2, 3, 4, 5}, self.N, self.Q, 0)  # leader not a member
+
+    def test_all_is_every_replica_and_never_moves(self):
+        everyone = make_selector("all", self.N, self.F)
+        for view in (0, 1, 50):
+            assert everyone.quorum_of(view) == frozenset(range(1, 8))
+            assert everyone.leader_of(view) == 1
+        assert everyone.q == 5 and everyone.module is None
+        assert everyone.view_on_suspicion(0, frozenset({1, 2})) is None
+        assert everyone.view_on_selected(selected({3, 4, 5, 6, 7}), 0) is None
+        assert not everyone.accepts(1)
+
+    def test_registry_and_module_conversion(self):
+        assert sorted(SELECTORS) == ["all", "enum", "fs", "qs"]
+        with pytest.raises(ConfigurationError):
+            make_selector("nope", 4, 1)
+        assert isinstance(as_selector(None, 4, 1), SELECTORS["enum"])
+        qs = make_selector("qs", 4, 1)
+        assert as_selector(qs, 4, 1) is qs
+        system = build_system(n=7, f=2, clients=0)
+        assert system.replicas[1].selector.module is system.qs_modules[1]
+        wrapped = as_selector(system.qs_modules[1], 7, 2)
+        assert isinstance(wrapped, SELECTORS["qs"]) and wrapped.module is system.qs_modules[1]
 
 
 class TestClientBehaviour:
@@ -127,7 +194,7 @@ class TestClientDiagnostics:
         from repro.xpaxos.client import XPaxosClient
 
         host = _StubHost()
-        client = XPaxosClient(host, n=5, f=2, ops=[])
+        client = XPaxosClient(host, n=5, f=2, ops=[], leader_of=lambda view: 1)
         host.now = 50.0
         client.start()
         assert client.started_at == 50.0
@@ -162,14 +229,12 @@ class TestClientDiagnostics:
         # After a leader crash the client broadcasts on timeout, learns the
         # new view from replies, and sends subsequent requests straight to
         # the new leader — no broadcast, no retry.
-        from repro.protocol.enumeration import leader_of_view
-
         system = build_system(n=5, f=2, mode="selection", clients=1, seed=9)
         system.adversary.crash(1, at=30.0)
         system.run(800.0)
         client = list(system.clients.values())[0]
         assert client.done and client.believed_view > 0
-        new_leader = leader_of_view(client.believed_view, 5, 3)
+        new_leader = client.leader_of(client.believed_view)
         assert new_leader != 1
 
         sent = []

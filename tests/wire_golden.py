@@ -53,6 +53,7 @@ def build_cases() -> List[Tuple[str, str, Any, int]]:
         IbftPreparePayload,
         PrePreparePayload,
     )
+    from repro.leadercentric.star import AckPayload, DecidePayload, ProposePayload
     from repro.xpaxos.messages import (
         CheckpointCertificate,
         CheckpointPayload,
@@ -108,6 +109,17 @@ def build_cases() -> List[Tuple[str, str, Any, int]]:
                 for pid in (2, 3)
             ),
         )
+
+    def propose(view=0, slot=0, size=1, leader=1):
+        return auth[leader].sign(
+            ProposePayload(view=view, slot=slot, signed_requests=batch(size))
+        )
+
+    def star_certificate(view=0, slot=0, leader=1, followers=(2, 3)):
+        signed = propose(view, slot, leader=leader)
+        ack = AckPayload(view=view, slot=slot, request_digest=signed.payload.request_digest())
+        return DecidePayload(view=view, slot=slot, propose=signed,
+                             acks=tuple(auth[pid].sign(ack) for pid in followers))
 
     update = UpdatePayload(row=(0, 0, 1, 0, 2, BIG))
     snapshot = ("xp-snapshot", 2, (("request", CLIENT, 0, ("put", "k", 1)),), (), ())
@@ -195,6 +207,27 @@ def build_cases() -> List[Tuple[str, str, Any, int]]:
         ("ibft.newround.empty", "ibft.newround", auth[2].sign(
             NewViewPayload(view=0, committed=(), checkpoint=None, snapshot=None)), 2),
         ("ibft.checkpoint", "ibft.checkpoint", auth[1].sign(
+            CheckpointPayload(view=2, slot_count=128, state_digest="ab" * 32)), 1),
+        # --- star: the leader need not be the quorum's lowest id (fs)
+        ("st.propose", "st.propose", propose(3, 17, size=3, leader=4), 4),
+        ("st.propose.60", "st.propose", propose(1, 2, size=60), 1),
+        ("st.ack", "st.ack", auth[3].sign(
+            AckPayload(view=2, slot=9, request_digest=wanted)), 3),
+        ("st.decide", "st.decide", auth[4].sign(
+            star_certificate(7, 4, leader=4, followers=(1, 2, 3))), 4),
+        ("st.decide.no-acks", "st.decide", auth[1].sign(
+            DecidePayload(view=0, slot=0, propose=("junk", None), acks=())), 1),
+        ("st.certificate", "st.state", star_certificate(1, 4), 1),
+        ("st.reconfigure", "st.reconfigure", auth[2].sign(ViewChangePayload(
+            new_view=6,
+            committed=(star_certificate(0, 0), star_certificate(0, 1)),
+            prepared=((2, propose(0, 2)),),
+            checkpoint=checkpoint_certificate(),
+            snapshot=snapshot)), 2),
+        ("st.newconfig", "st.newconfig", auth[2].sign(NewViewPayload(
+            view=6, committed=(star_certificate(),),
+            checkpoint=checkpoint_certificate(), snapshot=snapshot)), 2),
+        ("st.checkpoint", "st.checkpoint", auth[1].sign(
             CheckpointPayload(view=2, slot_count=128, state_digest="ab" * 32)), 1),
     ]
 
