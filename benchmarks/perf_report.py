@@ -33,7 +33,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
@@ -90,6 +90,29 @@ def check_invariants(row: dict) -> None:
     assert hotpath["incremental_edge_updates"] > 0
 
 
+def _ratio_flag(
+    what: str, old: Any, new: Any, threshold: float,
+    rising: bool = False, fmt: str = ".0f", unit: str = "/s",
+) -> Optional[str]:
+    """The one ratio-against-previous check every throughput gate shares.
+
+    A flag line when ``new / old`` moved past ``threshold`` (fractional)
+    the bad way — up for a ``rising`` cost, down for a throughput —
+    else ``None``.  A non-numeric or non-positive ``old`` or a
+    non-numeric ``new`` flags nothing: the gate only fires on evidence.
+    """
+    if not isinstance(old, (int, float)) or old <= 0 or not isinstance(new, (int, float)):
+        return None
+    ratio = new / old
+    if not (ratio > 1.0 + threshold if rising else ratio < 1.0 - threshold):
+        return None
+    sign = "+" if rising else "-"
+    return (
+        f"{what} {old:{fmt}}{unit} -> {new:{fmt}}{unit} "
+        f"({(ratio - 1) * 100:+.0f}%, threshold {sign}{threshold * 100:.0f}%)"
+    )
+
+
 def find_regressions(
     previous: Optional[dict], cases: List[dict],
     threshold: float = REGRESSION_THRESHOLD,
@@ -98,8 +121,7 @@ def find_regressions(
 
     Returns human-readable flag lines for every case whose
     ``wall_seconds`` grew by more than ``threshold`` (fractional).
-    Missing or malformed previous reports flag nothing — the gate only
-    fires on evidence.
+    Missing or malformed previous reports flag nothing.
     """
     if not previous:
         return []
@@ -108,117 +130,83 @@ def find_regressions(
         for row in previous.get("cases", [])
         if isinstance(row, dict)
     }
-    flags = []
-    for row in cases:
-        old = old_walls.get((row["n"], row["f"]))
-        if not isinstance(old, (int, float)) or old <= 0:
-            continue
-        ratio = row["wall_seconds"] / old
-        if ratio > 1.0 + threshold:
-            flags.append(
-                f"n={row['n']} f={row['f']}: wall {old:.3f}s -> "
-                f"{row['wall_seconds']:.3f}s (+{(ratio - 1) * 100:.0f}%, "
-                f"threshold +{threshold * 100:.0f}%)"
-            )
-    return flags
+    flags = (
+        _ratio_flag(f"n={row['n']} f={row['f']}: wall", old_walls.get((row["n"], row["f"])),
+                    row["wall_seconds"], threshold, rising=True, fmt=".3f", unit="s")
+        for row in cases
+    )
+    return [flag for flag in flags if flag]
 
 
 def find_net_regressions(
     previous: Optional[dict], report: dict,
     threshold: float = REGRESSION_THRESHOLD,
 ) -> List[str]:
-    """Flag the live-runtime benchmark's throughput falling off a cliff.
+    """Flag ``BENCH_net_loopback.json``'s UPDATE throughput dropping.
 
-    Mirrors :func:`find_regressions` for ``BENCH_net_loopback.json``:
-    a flag line when ``update_throughput_frames_per_s`` dropped by more
-    than ``threshold`` (fractional) versus the previous report.  Missing
-    or malformed previous reports flag nothing.
+    A flag line when ``update_throughput_frames_per_s`` fell by more than
+    ``threshold`` (fractional) versus the previous report.  Missing or
+    malformed previous reports flag nothing.
     """
     if not previous:
         return []
-    old = previous.get("update_throughput_frames_per_s")
-    new = report.get("update_throughput_frames_per_s")
-    if not isinstance(old, (int, float)) or old <= 0:
-        return []
-    if not isinstance(new, (int, float)):
-        return []
-    ratio = new / old
-    if ratio < 1.0 - threshold:
-        return [
-            f"UPDATE throughput {old:.0f}/s -> {new:.0f}/s "
-            f"({(ratio - 1) * 100:.0f}%, threshold -{threshold * 100:.0f}%)"
-        ]
-    return []
+    flag = _ratio_flag("UPDATE throughput", previous.get("update_throughput_frames_per_s"),
+                       report.get("update_throughput_frames_per_s"), threshold)
+    return [flag] if flag else []
+
+
+def _dig(block: Any, *keys: str) -> Any:
+    """``block[k1][k2]...``, or ``None`` where a report lacks the path."""
+    try:
+        for key in keys:
+            block = block[key]
+    except (KeyError, TypeError):
+        return None
+    return block
+
 
 
 def find_service_regressions(
     previous: Optional[dict], report: dict,
     threshold: float = REGRESSION_THRESHOLD,
 ) -> List[str]:
-    """Flag the KV-service benchmark's steady throughput dropping.
+    """Flag ``BENCH_service_load.json``'s live steady throughput dropping.
 
-    Mirrors :func:`find_net_regressions` for ``BENCH_service_load.json``:
-    a flag line when the live steady-state throughput fell by more than
+    A flag line when the live steady-state throughput fell by more than
     ``threshold`` (fractional) versus the previous report.  Missing or
     malformed previous reports flag nothing.
     """
     if not previous:
         return []
-    try:
-        old = previous["live"]["phases"]["steady"]["throughput"]
-        new = report["live"]["phases"]["steady"]["throughput"]
-    except (KeyError, TypeError):
-        return []
-    if not isinstance(old, (int, float)) or old <= 0:
-        return []
-    if not isinstance(new, (int, float)):
-        return []
-    ratio = new / old
-    if ratio < 1.0 - threshold:
-        return [
-            f"service steady throughput {old:.0f}/s -> {new:.0f}/s "
-            f"({(ratio - 1) * 100:.0f}%, threshold -{threshold * 100:.0f}%)"
-        ]
-    return []
+    path = ("live", "phases", "steady", "throughput")
+    flag = _ratio_flag("service steady throughput", _dig(previous, *path),
+                       _dig(report, *path), threshold)
+    return [flag] if flag else []
 
 
 def find_shard_regressions(
     previous: Optional[dict], report: dict,
     threshold: float = REGRESSION_THRESHOLD,
 ) -> List[str]:
-    """Flag the shard-scaling benchmark's live throughput dropping.
+    """Flag ``BENCH_shard_scaling.json``'s live throughput dropping.
 
-    Mirrors :func:`find_service_regressions` for
-    ``BENCH_shard_scaling.json``: one flag line per shard count M whose
-    live aggregate steady throughput fell by more than ``threshold``
-    (fractional) versus the previous report.  Missing or malformed
-    previous reports flag nothing.
+    One flag line per shard count M whose live aggregate steady
+    throughput fell by more than ``threshold`` (fractional) versus the
+    previous report.  Missing or malformed previous reports flag nothing.
     """
     if not previous:
         return []
-    flags = []
-    old_points = previous.get("live", {}).get("points", {})
-    new_points = report.get("live", {}).get("points", {})
+    old_points = _dig(previous, "live", "points")
+    new_points = _dig(report, "live", "points")
     if not isinstance(old_points, dict) or not isinstance(new_points, dict):
         return []
-    for m, new_point in new_points.items():
-        old_point = old_points.get(m)
-        try:
-            old = old_point["aggregate"]["steady"]["throughput"]
-            new = new_point["aggregate"]["steady"]["throughput"]
-        except (KeyError, TypeError):
-            continue
-        if not isinstance(old, (int, float)) or old <= 0:
-            continue
-        if not isinstance(new, (int, float)):
-            continue
-        ratio = new / old
-        if ratio < 1.0 - threshold:
-            flags.append(
-                f"shard M={m} aggregate throughput {old:.0f}/s -> {new:.0f}/s "
-                f"({(ratio - 1) * 100:.0f}%, threshold -{threshold * 100:.0f}%)"
-            )
-    return flags
+    path = ("aggregate", "steady", "throughput")
+    flags = (
+        _ratio_flag(f"shard M={m} aggregate throughput", _dig(old_points.get(m), *path),
+                    _dig(new_point, *path), threshold)
+        for m, new_point in new_points.items()
+    )
+    return [flag for flag in flags if flag]
 
 
 def find_adversary_regressions(

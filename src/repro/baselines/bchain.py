@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto.authenticator import SignedMessage
-from repro.sim.process import Module, ProcessHost
+from repro.host import Host, Module
 from repro.sim.runtime import Simulation, SimulationConfig
 from repro.util.errors import ConfigurationError
 from repro.util.ids import ProcessId
@@ -100,7 +100,7 @@ class BcReplyPayload:
 class BChainReplica(Module):
     """One BChain replica; chain order is shared state updated by RECHAIN."""
 
-    def __init__(self, host: ProcessHost, n: int, f: int, ack_timeout: float = 8.0) -> None:
+    def __init__(self, host: Host, n: int, f: int, ack_timeout: float = 8.0) -> None:
         super().__init__(host)
         if n < 3 * f + 1:
             raise ConfigurationError(f"BChain needs n >= 3f + 1; got n={n}, f={f}")
@@ -345,7 +345,7 @@ class BChainClient(Module):
 
     def __init__(
         self,
-        host: ProcessHost,
+        host: Host,
         n: int,
         f: int,
         ops: Sequence[Tuple[Any, ...]],

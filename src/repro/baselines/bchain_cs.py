@@ -30,7 +30,7 @@ from repro.crypto.authenticator import SignedMessage
 from repro.fd.detector import FailureDetector
 from repro.fd.heartbeat import HeartbeatModule
 from repro.fd.timers import TimeoutPolicy
-from repro.sim.process import Module, ProcessHost
+from repro.host import Host, Module
 from repro.sim.runtime import Simulation, SimulationConfig
 from repro.util.errors import ConfigurationError
 from repro.util.ids import ProcessId
@@ -71,7 +71,7 @@ class BChainCsReplica(Module):
 
     def __init__(
         self,
-        host: ProcessHost,
+        host: Host,
         n: int,
         f: int,
         chain_module: ChainSelectionModule,

@@ -33,13 +33,13 @@ from typing import Optional, Tuple
 
 from repro.core.quorum_selection import QuorumSelectionModule
 from repro.graphs.chain_path import has_chain, lex_first_chain
-from repro.sim.process import ProcessHost
+from repro.host import Host
 
 
 class ChainSelectionModule(QuorumSelectionModule):
     """Chain Selection at one process (extension module)."""
 
-    def __init__(self, host: ProcessHost, n: int, f: int, use_fd: bool = True) -> None:
+    def __init__(self, host: Host, n: int, f: int, use_fd: bool = True) -> None:
         super().__init__(host, n, f, use_fd=use_fd)
         self.chain: Tuple[int, ...] = tuple(range(1, self.q + 1))
 

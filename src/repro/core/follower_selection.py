@@ -36,7 +36,7 @@ from repro.graphs.line_subgraph import (
     maximal_line_subgraph,
     possible_followers,
 )
-from repro.sim.process import ProcessHost
+from repro.host import Host
 from repro.util.errors import ConfigurationError
 from repro.util.ids import ProcessId, default_quorum
 
@@ -48,7 +48,7 @@ class FollowerSelectionModule(QuorumSelectionModule):
 
     def __init__(
         self,
-        host: ProcessHost,
+        host: Host,
         n: int,
         f: int,
         use_fd: bool = True,

@@ -45,9 +45,9 @@ from repro.core.messages import (
 from repro.core.suspicion_matrix import SuspicionMatrix
 from repro.crypto.authenticator import SignedMessage
 from repro.graphs.independent_set import has_independent_set, lex_first_independent_set
+from repro.host import Host, Module
 from repro.obs.observability import NULL_OBS, get_obs
 from repro.obs.spans import SPAN_EPOCH_ADVANCE, SPAN_QUORUM_CHANGE, SPAN_SUSPICION_EDGE
-from repro.sim.process import Module, ProcessHost
 from repro.sim.transport import ReliableTransport
 from repro.util.errors import ConfigurationError
 from repro.util.ids import ProcessId, default_quorum
@@ -72,7 +72,7 @@ class QuorumSelectionModule(Module):
 
     def __init__(
         self,
-        host: ProcessHost,
+        host: Host,
         n: int,
         f: int,
         use_fd: bool = True,

@@ -16,8 +16,8 @@ from typing import Any, Dict, Optional
 
 from repro.crypto.authenticator import SignedMessage
 from repro.fd.expectations import ExpectationHandle
+from repro.host import Host, Module
 from repro.obs.observability import get_obs
-from repro.sim.process import Module, ProcessHost
 from repro.util.ids import ProcessId
 from repro.util.wire_schema import register_kind_ids
 
@@ -35,7 +35,7 @@ def _is_heartbeat(kind: str, payload: Any) -> bool:
 class HeartbeatModule(Module):
     """Periodic signed heartbeats plus rolling expectations for peers."""
 
-    def __init__(self, host: ProcessHost, n: int, period: float = 2.0) -> None:
+    def __init__(self, host: Host, n: int, period: float = 2.0) -> None:
         super().__init__(host)
         self.n = n
         self.period = period
@@ -111,7 +111,7 @@ class PingPongModule(Module):
     as the paper's classification promises.
     """
 
-    def __init__(self, host: ProcessHost, n: int, period: float = 4.0) -> None:
+    def __init__(self, host: Host, n: int, period: float = 4.0) -> None:
         super().__init__(host)
         self.n = n
         self.period = period

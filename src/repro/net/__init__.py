@@ -1,8 +1,8 @@
 """Live asyncio network runtime: the module stack over real TCP sockets.
 
-Every protocol module in this repository is written against the host API
-(:mod:`repro.hostapi`); this package provides the second implementation
-of that API — real sockets, real clocks, real process crashes — so
+Every protocol module in this repository is written against
+:class:`repro.host.Host`; this package provides its second substrate —
+real sockets, real clocks, real process crashes — so
 :class:`~repro.core.quorum_selection.QuorumSelectionModule`, the failure
 detector, and Follower Selection run *unchanged* outside the simulator.
 
@@ -23,7 +23,7 @@ Layers, bottom up:
   fault class Quorum Selection is built to tolerate).
 - :mod:`repro.net.timers` — wall-clock timer service with the simulator
   scheduler's timer semantics.
-- :mod:`repro.net.host` — :class:`NetHost`, the host-API implementation.
+- :mod:`repro.net.host` — :class:`NetHost`, the host over TCP.
 - :mod:`repro.net.node` — one replica: host + stack + JSON event stream.
 - :mod:`repro.net.cluster` — multi-OS-process loopback/LAN harness with
   scheduled crash/recovery injection (``python -m repro cluster``).

@@ -5,11 +5,12 @@ three guarantees their logic depends on:
 
 - :meth:`schedule` returns a :class:`~repro.sim.events.ScheduledEvent`
   whose ``cancelled`` flag is checked *at fire time* (lazy cancellation —
-  :class:`~repro.sim.events.TimerHandle` relies on it);
+  :class:`~repro.host.TimerHandle` relies on it);
 - fired events are one-shot and drop their callback reference;
-- :meth:`schedule_every` re-arms *after* the action runs, so a slow
-  action never overlaps itself and a ``cancel()`` from inside the action
-  stops the loop.
+- ``schedule_every`` re-arms *after* the action runs, so a slow action
+  never overlaps itself and a ``cancel()`` from inside the action stops
+  the loop (both inherit it from
+  :class:`~repro.sim.scheduler.SchedulerBase`).
 
 :class:`NetTimerService` reproduces those semantics on top of an asyncio
 event loop: ``now`` is wall seconds since service start (so timestamps
@@ -24,11 +25,11 @@ import asyncio
 from typing import Callable, Optional
 
 from repro.sim.events import ScheduledEvent
-from repro.sim.scheduler import RepeatingHandle
+from repro.sim.scheduler import SchedulerBase
 from repro.util.errors import SimulationError
 
 
-class NetTimerService:
+class NetTimerService(SchedulerBase):
     """Scheduler-compatible timers driven by an asyncio event loop."""
 
     def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
@@ -74,28 +75,3 @@ class NetTimerService:
     ) -> ScheduledEvent:
         """Schedule at an absolute service time (seconds since start)."""
         return self.schedule(time - self.now, action, label=label)
-
-    # ------------------------------------------------------------- repeating
-
-    def schedule_every(
-        self, period: float, action: Callable[[], None], label: str = ""
-    ) -> RepeatingHandle:
-        """Run ``action`` every ``period`` seconds until cancelled.
-
-        Matches :meth:`Scheduler.schedule_every`: first firing one period
-        from now, re-armed after the action returns, cancel-safe from
-        inside the action.
-        """
-        if period <= 0:
-            raise SimulationError(f"repeating period must be positive, got {period}")
-        handle = RepeatingHandle()
-
-        def fire() -> None:
-            if handle.cancelled:
-                return
-            action()
-            if not handle.cancelled:
-                handle._event = self.schedule(period, fire, label=label)
-
-        handle._event = self.schedule(period, fire, label=label)
-        return handle

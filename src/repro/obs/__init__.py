@@ -4,8 +4,8 @@ One subsystem, two runtimes: the discrete-event simulator shares a single
 :class:`Observability` across all simulated processes (deterministic,
 tick-stamped), while each live node owns one (wall-clock, exported as
 Prometheus text and JSONL).  Protocol modules reach it through
-``host.obs`` — part of the host API contract (:mod:`repro.hostapi`) — so
-the instrumentation points are written once and feed both runtimes.
+``host.obs`` (:class:`repro.host.Host`), so the instrumentation points
+are written once and feed both runtimes.
 
 See DESIGN.md §5.16 and the "Observability" section of
 ``docs/architecture.md`` for the metric names and span taxonomy.

@@ -1,7 +1,7 @@
 """The per-run observability object: one registry + one span sink.
 
-``Observability`` is what hosts expose as ``host.obs`` (part of the host
-API, :mod:`repro.hostapi`).  The simulator shares a single instance
+``Observability`` is what hosts expose as ``host.obs``
+(:class:`repro.host.Host`).  The simulator shares a single instance
 across every simulated process — metrics are labelled by ``pid``, and the
 shared instance is what lets detection latency be measured from the fault
 *injection* (host A crashes) to the *detection* (host B suspects A).  A

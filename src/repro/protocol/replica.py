@@ -45,11 +45,10 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.crypto.authenticator import SignedMessage
 from repro.crypto.digests import digest
+from repro.host import Host, Module, TimerHandle
 from repro.obs.observability import NULL_OBS, get_obs
 from repro.obs.spans import SPAN_DECISION_CHANGE
 from repro.protocol.selector import Selector
-from repro.sim.events import TimerHandle
-from repro.sim.process import Module, ProcessHost
 from repro.util.errors import ConfigurationError
 from repro.util.ids import ProcessId
 from repro.xpaxos.messages import (
@@ -123,7 +122,7 @@ class ReplicaCore(Module):
 
     def __init__(
         self,
-        host: ProcessHost,
+        host: Host,
         n: int,
         f: int,
         selector: Selector,

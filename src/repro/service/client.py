@@ -8,12 +8,12 @@ value for the same sequence.  On timeout it retransmits as a broadcast
 with exponential backoff and learns the current view — hence the leader
 — from the replies it gets back.
 
-It runs against the host-API contract (see :mod:`repro.hostapi`), so the
-same class drives the deterministic simulator (one
-:class:`~repro.sim.process.ProcessHost` per client) and the live
-runtime, where a gateway host multiplexes many logical clients over one
-socket endpoint (``subscribe=False``; the gateway routes replies by
-``reply.client`` — see :mod:`repro.service.live`).
+It runs on any :class:`repro.host.Host`, so the same class drives the
+deterministic simulator (one :class:`~repro.sim.process.ProcessHost` per
+client) and the live runtime, where a gateway host multiplexes many
+logical clients over one socket endpoint (``subscribe=False``; the
+gateway routes replies by ``reply.client`` — see
+:mod:`repro.service.live`).
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.crypto.authenticator import SignedMessage
+from repro.host import Module, TimerHandle
 from repro.protocol.enumeration import leader_of_view
-from repro.sim.events import TimerHandle
-from repro.sim.process import Module
 from repro.util.ids import ProcessId
 from repro.xpaxos.messages import KIND_REPLY, KIND_REQUEST, ClientRequest, ReplyPayload
 

@@ -1,7 +1,7 @@
 """Load generation for the replicated KV service.
 
 Runtime-agnostic pieces (used by both the deterministic sim and the live
-gateway, which share the host-API contract):
+gateway, which both run on :class:`repro.host.Host`):
 
 - :class:`Workload` — seeded operation stream: zipfian key choice over a
   fixed key space, weighted GET/PUT/DEL/CAS mix;
@@ -144,7 +144,7 @@ def summarize_phase(
 class LoadGenerator:
     """Drives many logical clients through one host's timer service.
 
-    ``host`` only needs the host-API surface (``now``, ``scheduler``),
+    ``host`` only needs :class:`repro.host.Host`'s ``now`` and ``scheduler``,
     so the same generator runs on a sim :class:`ProcessHost` and on the
     live gateway's :class:`~repro.net.host.NetHost`.
     """

@@ -24,7 +24,7 @@ failure detector (Sections II and IV).  This package provides that world:
 """
 
 from repro.sim.clock import SimClock
-from repro.sim.events import ScheduledEvent, TimerHandle
+from repro.sim.events import ScheduledEvent
 from repro.sim.scheduler import RepeatingHandle, Scheduler
 from repro.sim.latency import (
     LatencyModel,
@@ -41,7 +41,7 @@ from repro.sim.network import (
     Network,
     SendAction,
 )
-from repro.sim.process import ProcessHost, Module
+from repro.sim.process import ProcessHost
 from repro.sim.runtime import Simulation, SimulationConfig
 from repro.sim.tracing import MessageStats
 from repro.sim.transport import ReliableTransport
@@ -49,7 +49,6 @@ from repro.sim.transport import ReliableTransport
 __all__ = [
     "SimClock",
     "ScheduledEvent",
-    "TimerHandle",
     "RepeatingHandle",
     "Scheduler",
     "LatencyModel",
@@ -65,7 +64,6 @@ __all__ = [
     "DELIVER",
     "DROP",
     "ProcessHost",
-    "Module",
     "Simulation",
     "SimulationConfig",
     "MessageStats",

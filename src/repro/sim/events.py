@@ -1,9 +1,9 @@
-"""Scheduled-event and timer records for the simulator."""
+"""Scheduled-event records for the simulator's and the live runtime's schedulers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 
 @dataclass(order=True, slots=True)
@@ -43,44 +43,3 @@ class ScheduledEvent:
         self._cancelled = value
         if self._on_cancel_changed is not None:
             self._on_cancel_changed(value)
-
-
-class TimerHandle:
-    """Cancellation handle returned by :meth:`ProcessHost.set_timer`.
-
-    Cancellation is lazy: the event stays queued but is skipped when its
-    time comes.  ``fired`` distinguishes "ran" from "cancelled first".
-    ``owner`` is the host's table of pending timers; the handle leaves it
-    when it fires or is cancelled, so the table holds only live timers.
-    """
-
-    __slots__ = ("_event", "fired", "_owner")
-
-    def __init__(
-        self, event: ScheduledEvent, owner: Optional[Dict["TimerHandle", None]] = None
-    ) -> None:
-        self._event = event
-        self.fired = False
-        self._owner = owner
-        if owner is not None:
-            owner[self] = None
-
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
-    def active(self) -> bool:
-        return not self._event.cancelled and not self.fired
-
-    def cancel(self) -> None:
-        self._event.cancelled = True
-        self._forget()
-
-    def _mark_fired(self) -> None:
-        self.fired = True
-        self._forget()
-
-    def _forget(self) -> None:
-        if self._owner is not None:
-            self._owner.pop(self, None)

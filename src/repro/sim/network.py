@@ -156,7 +156,7 @@ Interceptor = Callable[[Envelope], SendAction]
 
 
 class Network:
-    """The message fabric connecting all :class:`ProcessHost` instances."""
+    """The message fabric connecting all :class:`~repro.sim.process.ProcessHost` instances."""
 
     def __init__(
         self,

@@ -33,7 +33,7 @@ def _relaxed_gc() -> Iterator[None]:
 
 
 class RepeatingHandle:
-    """Cancellation handle for :meth:`Scheduler.schedule_every` loops.
+    """Cancellation handle for :meth:`SchedulerBase.schedule_every` loops.
 
     Cancelling stops the loop permanently: the currently queued firing is
     skipped and no further one is armed.
@@ -51,7 +51,43 @@ class RepeatingHandle:
             self._event.cancelled = True
 
 
-class Scheduler:
+class SchedulerBase:
+    """What the simulated and the wall-clock scheduler share.
+
+    Subclasses provide ``now`` and ``schedule(delay, action, label)``
+    returning a lazily cancellable event; repeating work is written once,
+    here, on top of ``schedule``.
+    """
+
+    def schedule_every(
+        self, period: float, action: Callable[[], None], label: str = ""
+    ) -> RepeatingHandle:
+        """Run ``action`` every ``period`` time units until cancelled.
+
+        The first firing is one period from now; each firing re-arms the
+        next *after* the action runs, so a slow action never overlaps
+        itself and a cancel() from inside the action stops the loop.  Used
+        for environment-level periodic work (anti-entropy sync, partition
+        schedules) that should keep ticking across process crash/recover
+        cycles — unlike :meth:`repro.host.Host.set_timer` timers, which
+        die with the process.
+        """
+        if period <= 0:
+            raise SimulationError(f"repeating period must be positive, got {period}")
+        handle = RepeatingHandle()
+
+        def fire() -> None:
+            if handle.cancelled:
+                return
+            action()
+            if not handle.cancelled:
+                handle._event = self.schedule(period, fire, label=label)
+
+        handle._event = self.schedule(period, fire, label=label)
+        return handle
+
+
+class Scheduler(SchedulerBase):
     """Priority-queue event loop with a hard step budget.
 
     The budget guards against accidental event storms (e.g. a protocol bug
@@ -103,33 +139,6 @@ class Scheduler:
         heapq.heappush(self._queue, (time, event.seq, event))
         return event
 
-    def schedule_every(
-        self, period: float, action: Callable[[], None], label: str = ""
-    ) -> RepeatingHandle:
-        """Run ``action`` every ``period`` time units until cancelled.
-
-        The first firing is one period from now; each firing re-arms the
-        next *after* the action runs, so a slow action never overlaps
-        itself and a cancel() from inside the action stops the loop.  Used
-        for environment-level periodic work (anti-entropy sync, partition
-        schedules) that should keep ticking across process crash/recover
-        cycles — unlike :meth:`ProcessHost.set_timer` timers, which die
-        with the process.
-        """
-        if period <= 0:
-            raise SimulationError(f"repeating period must be positive, got {period}")
-        handle = RepeatingHandle()
-
-        def fire() -> None:
-            if handle.cancelled:
-                return
-            action()
-            if not handle.cancelled:
-                handle._event = self.schedule(period, fire, label=label)
-
-        handle._event = self.schedule(period, fire, label=label)
-        return handle
-
     def pending(self) -> int:
         """Number of queued, non-cancelled events (O(1): live counter)."""
         return self._live
@@ -140,36 +149,14 @@ class Scheduler:
             heapq.heappop(self._queue)[2]._on_cancel_changed = None
         return self._queue[0][0] if self._queue else None
 
-    def step(self) -> bool:
-        """Run the next event; returns ``False`` when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)[2]
-            event._on_cancel_changed = None  # off-queue: cancels no longer counted
-            if event.cancelled:
-                continue
-            self._live -= 1
-            self.steps_executed += 1
-            if self.steps_executed > self.max_steps:
-                raise SimulationError(
-                    f"step budget of {self.max_steps} exceeded at t={event.time} "
-                    f"(label={event.label!r}); likely an event storm"
-                )
-            self.clock.advance_to(event.time)
-            action = event.action
-            event.action = None  # one-shot; breaks the timer-handle cycle
-            action()
-            return True
-        return False
-
     def run_until(self, t_end: float) -> None:
         """Execute every event with time <= ``t_end`` and advance the clock.
 
         The clock ends at exactly ``t_end`` even if the queue drained
         earlier, so "simulate for 100 units" means what it says.
         """
-        # Fused pop/dispatch loop: equivalent to ``peek_time()``/``step()``
-        # pairs, but touching the heap head once per event.  Heap pops are
-        # time-ordered, so the clock can be assigned directly.
+        # The one dispatch loop, touching the heap head once per event.
+        # Heap pops are time-ordered, so the clock can be assigned directly.
         queue = self._queue
         clock = self.clock
         pop = heapq.heappop
@@ -207,7 +194,6 @@ class Scheduler:
     def run_to_quiescence(self) -> int:
         """Run until no events remain; returns the number of steps taken."""
         start = self.steps_executed
-        with _relaxed_gc():
-            while self.step():
-                pass
+        while (time := self.peek_time()) is not None:
+            self.run_until(time)
         return self.steps_executed - start

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, Optional, Set, Tuple
 
-from repro.sim.process import Module, ProcessHost
+from repro.host import Host, Module
 from repro.util.errors import ConfigurationError
 from repro.util.ids import ProcessId
 
@@ -71,7 +71,7 @@ class ReliableTransport(Module):
 
     def __init__(
         self,
-        host: ProcessHost,
+        host: Host,
         rto: Optional[float] = None,
         backoff: float = 2.0,
         max_rto: float = 60.0,

@@ -8,11 +8,11 @@ construct the same worlds without depending on the test tree.
 
 :func:`attach_qs_stack` is the per-host half of world building: it wires
 the Figure-1 module stack (failure detector, heartbeats, Quorum or
-Follower Selection) onto *any* host implementing the host API
-(:mod:`repro.hostapi`).  ``build_qs_world`` uses it for simulated hosts;
-the live network runtime (:mod:`repro.net.node`) uses it for real ones —
-the sim<->net parity guarantee starts with both runtimes assembling the
-exact same stack through this one function.
+Follower Selection) onto any :class:`repro.host.Host`.  ``build_qs_world``
+uses it for simulated hosts; the live network runtime
+(:mod:`repro.net.node`) uses it for real ones — the sim<->net parity
+guarantee starts with both runtimes assembling the exact same stack
+through this one function.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ from repro.core.quorum_selection import QuorumSelectionModule
 from repro.fd.detector import FailureDetector
 from repro.fd.heartbeat import HeartbeatModule
 from repro.fd.timers import TimeoutPolicy
-from repro.hostapi import require_host_api
+from repro.host import Host
 from repro.sim.network import ChaosConfig
 from repro.sim.runtime import Simulation, SimulationConfig
 from repro.sim.transport import ReliableTransport
 
 
 def attach_qs_stack(
-    host: Any,
+    host: Host,
     n: int,
     f: int,
     follower_mode: bool = False,
@@ -43,14 +43,13 @@ def attach_qs_stack(
 ) -> QuorumSelectionModule:
     """Mount the full Figure-1 stack on one host; returns the QS module.
 
-    The host only needs the host API — a simulated
-    :class:`~repro.sim.process.ProcessHost` and a live
-    :class:`~repro.net.host.NetHost` both qualify.  A ``transport`` is
+    Either host qualifies — a simulated
+    :class:`~repro.sim.process.ProcessHost` or a live
+    :class:`~repro.net.host.NetHost`.  A ``transport`` is
     attached *here* (between the heartbeat and the selection module) so
     module start order — and therefore the event trace — matches the seed
     world byte for byte.
     """
-    require_host_api(host)
     FailureDetector(host, TimeoutPolicy(base_timeout=base_timeout))
     host.add_module(HeartbeatModule(host, n=n, period=heartbeat_period))
     if transport is not None:
@@ -106,7 +105,7 @@ def build_qs_world(
 
 
 def attach_kv_service_stack(
-    host: Any,
+    host: Host,
     n: int,
     f: int,
     heartbeat_period: float = 4.0,
@@ -130,7 +129,6 @@ def attach_kv_service_stack(
     from repro.service.kv import ServiceKVStore
 
     backend = get_backend(protocol)
-    require_host_api(host)
     FailureDetector(host, TimeoutPolicy(base_timeout=base_timeout))
     host.add_module(HeartbeatModule(host, n=n, period=heartbeat_period))
     selector = make_selector("qs", n, f, host)

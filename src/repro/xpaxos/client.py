@@ -14,8 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.authenticator import SignedMessage
-from repro.sim.events import TimerHandle
-from repro.sim.process import Module, ProcessHost
+from repro.host import Host, Module, TimerHandle
 from repro.util.ids import ProcessId
 from repro.xpaxos.messages import KIND_REPLY, KIND_REQUEST, ClientRequest, ReplyPayload
 
@@ -25,7 +24,7 @@ class XPaxosClient(Module):
 
     def __init__(
         self,
-        host: ProcessHost,
+        host: Host,
         n: int,
         f: int,
         ops: Sequence[Tuple[Any, ...]],

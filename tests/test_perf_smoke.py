@@ -15,7 +15,10 @@ import pytest
 
 from benchmarks.perf_report import (
     check_invariants,
+    find_net_regressions,
     find_regressions,
+    find_service_regressions,
+    find_shard_regressions,
     read_previous_report,
     run_hotpath_case,
 )
@@ -66,6 +69,50 @@ class TestRegressionGate:
                {"n": 99, "f": 9, "wall_seconds": 9.0}]
         assert find_regressions(old, new) == []
 
+
+
+def net_report(throughput):
+    return {"update_throughput_frames_per_s": throughput}
+
+
+def service_report(throughput):
+    return {"live": {"phases": {"steady": {"throughput": throughput}}}}
+
+
+def shard_report(**points):
+    return {"live": {"points": {
+        m: {"aggregate": {"steady": {"throughput": throughput}}}
+        for m, throughput in points.items()
+    }}}
+
+
+class TestThroughputGates:
+    """The net, service and shard gates: a >20% throughput drop flags."""
+
+    def test_net_drop_flags(self):
+        assert find_net_regressions(net_report(1000.0), net_report(850.0)) == []
+        flags = find_net_regressions(net_report(1000.0), net_report(700.0))
+        assert flags == ["UPDATE throughput 1000/s -> 700/s (-30%, threshold -20%)"]
+
+    def test_service_drop_flags(self):
+        assert find_service_regressions(service_report(500), service_report(450)) == []
+        flags = find_service_regressions(service_report(500), service_report(300))
+        assert len(flags) == 1 and "-40%" in flags[0]
+
+    def test_shard_drop_flags_per_shard_count(self):
+        old = shard_report(m1=100.0, m2=200.0)
+        flags = find_shard_regressions(old, shard_report(m1=95.0, m2=120.0))
+        assert len(flags) == 1 and "M=m2" in flags[0] and "-40%" in flags[0]
+
+    @pytest.mark.parametrize("previous", [
+        None, {}, {"live": None}, {"live": {"phases": {}}},
+        net_report("fast"), net_report(0), service_report(None),
+        shard_report(m1="fast"), {"live": {"points": []}},
+    ])
+    def test_missing_or_malformed_previous_flags_nothing(self, previous):
+        assert find_net_regressions(previous, net_report(1.0)) == []
+        assert find_service_regressions(previous, service_report(1.0)) == []
+        assert find_shard_regressions(previous, shard_report(m1=1.0)) == []
 
 class TestCheckedInReportGate:
     """Gate against the *repo's* ``BENCH_hotpath.json``, when present.
