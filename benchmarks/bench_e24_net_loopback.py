@@ -7,9 +7,7 @@ at the repo root:
 - **UPDATE-gossip throughput**: signed ``UPDATE`` envelopes pushed
   through one real TCP link (wire encode → batched envelope + link
   HMAC → socket → frame decode → HMAC verify → deliver), in
-  frames/second — measured under the default (binary V2, batched)
-  codec *and* the tagged-JSON V1 codec, so the report carries its own
-  before/after comparison;
+  frames/second;
 - **stabilization latency**: full in-process meshes (n live hosts, one
   event loop, real sockets) in which ``p1`` crashes; per surviving
   replica, the wall time from the crash to its *final* quorum event.
@@ -27,7 +25,7 @@ import asyncio
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
@@ -45,7 +43,7 @@ from repro.net.host import NetHost  # noqa: E402
 from repro.net.loop import uvloop_active  # noqa: E402
 from repro.net.peer import PeerManager  # noqa: E402
 from repro.net.timers import NetTimerService  # noqa: E402
-from repro.net.wire import WIRE_V1, WIRE_V2, resolve_wire_version  # noqa: E402
+from repro.net.wire import WIRE_V2  # noqa: E402
 from repro.sim.worlds import attach_qs_stack  # noqa: E402
 
 from benchmarks._reporting import emit  # noqa: E402
@@ -59,12 +57,11 @@ REPORT_PATH = REPO_ROOT / "BENCH_net_loopback.json"
 # ----------------------------------------------------------- throughput
 
 
-async def _throughput_async(frames: int, wire_version: Optional[int] = None) -> float:
+async def _throughput_async(frames: int) -> float:
     """Push ``frames`` signed UPDATEs over one loopback link; frames/s.
 
-    Both endpoints run the negotiated codec (``wire_version``; ``None``
-    resolves the default) with link-level batch MACs, so the measured
-    path is the production one: wire encode → batch envelope + HMAC →
+    Both endpoints run with link-level batch MACs, so the measured path
+    is the production one: wire encode → batch envelope + HMAC →
     socket → frame decode → envelope HMAC verify → signature verify →
     deliver.
     """
@@ -72,11 +69,11 @@ async def _throughput_async(frames: int, wire_version: Optional[int] = None) -> 
     registry = KeyRegistry(2)
     sender = PeerManager(
         1, queue_capacity=frames + 16, rng_seed=1,
-        wire_version=wire_version, batch_auth=BatchAuthenticator(registry, 1),
+        batch_auth=BatchAuthenticator(registry, 1),
     )
     receiver = PeerManager(
         2, queue_capacity=frames + 16, rng_seed=2,
-        wire_version=wire_version, batch_auth=BatchAuthenticator(registry, 2),
+        batch_auth=BatchAuthenticator(registry, 2),
     )
     addr = await receiver.start_server()
     sender.addresses = {2: addr}
@@ -109,11 +106,9 @@ async def _throughput_async(frames: int, wire_version: Optional[int] = None) -> 
     return frames / elapsed
 
 
-def measure_update_throughput(
-    frames: int = 2000, wire_version: Optional[int] = None
-) -> float:
+def measure_update_throughput(frames: int = 2000) -> float:
     """Signed-UPDATE frames per second over one loopback TCP link."""
-    return asyncio.run(_throughput_async(frames, wire_version=wire_version))
+    return asyncio.run(_throughput_async(frames))
 
 
 # -------------------------------------------------- stabilization latency
@@ -196,15 +191,8 @@ def percentile(samples: List[float], q: float) -> float:
 def write_report(
     rounds: int = 4, frames: int = 2000, path: Path = REPORT_PATH
 ) -> dict:
-    """Run every case and write ``BENCH_net_loopback.json``.
-
-    The headline throughput is the default (negotiated) codec; the V1
-    figure is measured alongside it so the report carries its own
-    before/after comparison.
-    """
-    wire_version = resolve_wire_version()
-    throughput = measure_update_throughput(frames=frames, wire_version=wire_version)
-    throughput_v1 = measure_update_throughput(frames=frames, wire_version=WIRE_V1)
+    """Run every case and write ``BENCH_net_loopback.json``."""
+    throughput = measure_update_throughput(frames=frames)
     cases = []
     for n, f in CASES:
         samples = measure_stabilization(n, f, rounds=rounds)
@@ -219,10 +207,9 @@ def write_report(
     report = {
         "benchmark": "E24 — live loopback runtime (repro.net)",
         "update_throughput_frames_per_s": round(throughput, 1),
-        "v1_update_throughput_frames_per_s": round(throughput_v1, 1),
         "throughput_frames": frames,
         "wire": {
-            "version": wire_version,
+            "version": WIRE_V2,
             "batch_policy": PeerManager(1).batch_policy.as_dict(),
             "uvloop": uvloop_active(),
         },
@@ -244,8 +231,7 @@ def render_table(report: dict) -> str:
         title=(
             "E24 — stabilization latency over loopback "
             f"(UPDATE throughput {report['update_throughput_frames_per_s']:.0f}/s "
-            f"V{wire.get('version', '?')}, "
-            f"{report.get('v1_update_throughput_frames_per_s', 0):.0f}/s V1"
+            f"V{wire.get('version', '?')}"
             f"{', uvloop' if wire.get('uvloop') else ''})"
         ),
     )
@@ -266,8 +252,7 @@ def test_e24_net_loopback_report():
     """One-round version of the report: sane numbers, file written."""
     report = write_report(rounds=1, frames=500)
     assert report["update_throughput_frames_per_s"] > 100
-    assert report["v1_update_throughput_frames_per_s"] > 100
-    assert report["wire"]["version"] in (WIRE_V1, WIRE_V2)
+    assert report["wire"]["version"] == WIRE_V2
     for row in report["cases"]:
         assert 0 < row["stabilization_p50_s"] <= row["stabilization_p99_s"]
         # Detection cannot beat the failure-detector timeout, and a healthy

@@ -250,7 +250,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             base_timeout=args.timeout,
             anti_entropy_period=args.anti_entropy,
             run_dir=args.run_dir,
-            wire_version=args.wire_version,
             uvloop=args.uvloop,
         )
         config.validate()
@@ -318,7 +317,6 @@ def _cmd_node(args: argparse.Namespace) -> int:
             kills_at=tuple(args.kill_at),
             recovers_at=tuple(args.recover_at),
             metrics_prom_path=args.metrics_prom,
-            wire_version=args.wire_version,
             uvloop=args.uvloop,
             service=args.service,
             service_clients=args.service_clients,
@@ -600,7 +598,6 @@ def _cmd_metrics_net(args: argparse.Namespace) -> int:
             heartbeat_period=args.heartbeat,
             base_timeout=args.timeout,
             run_dir=args.run_dir,
-            wire_version=args.wire_version,
             uvloop=args.uvloop,
         )
         config.validate()
@@ -826,9 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="periodic matrix sync period (default off)")
     cluster.add_argument("--run-dir", default=None,
                          help="directory for per-node JSONL event streams")
-    cluster.add_argument("--wire-version", type=int, choices=(1, 2), default=None,
-                         help="wire codec every node offers (default: V2, "
-                              "or REPRO_WIRE_VERSION)")
     cluster.add_argument("--uvloop", action="store_true",
                          help="run nodes under uvloop when installed "
                               "(silent fallback otherwise)")
@@ -860,9 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="T", help="recover own host T seconds after ready")
     node.add_argument("--metrics-prom", default=None, metavar="PATH",
                       help="write final metrics as Prometheus text to PATH")
-    node.add_argument("--wire-version", type=int, choices=(1, 2), default=None,
-                      help="wire codec this node offers/accepts (default: V2, "
-                           "or REPRO_WIRE_VERSION)")
     node.add_argument("--uvloop", action="store_true",
                       help="install uvloop before running (no-op if missing)")
     node.add_argument("--service", choices=("kv",), default=None,
@@ -963,8 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
     mnet.add_argument("--follower-mode", action="store_true")
     mnet.add_argument("--run-dir", default=None,
                       help="also write per-node JSONL + .prom files here")
-    mnet.add_argument("--wire-version", type=int, choices=(1, 2), default=None,
-                      help="wire codec every node offers (default: V2)")
     mnet.add_argument("--uvloop", action="store_true",
                       help="run nodes under uvloop when installed")
     mnet.add_argument("--render", choices=("table", "prom", "json"),

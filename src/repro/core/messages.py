@@ -16,7 +16,7 @@ KIND_ROWS = "qs.rows"
 register_kind_ids({KIND_UPDATE: 4, KIND_FOLLOWERS: 5, KIND_DIGEST: 6, KIND_ROWS: 7})
 
 
-@wire_message(0x0E, "__update__", row=tuple_of(INT))
+@wire_message(0x0E, row=tuple_of(INT))
 @dataclass(frozen=True)
 class UpdatePayload:
     """``<UPDATE, suspected[i]>_sigma_i`` — one process's signed row.
@@ -36,7 +36,7 @@ class UpdatePayload:
 
 
 @wire_message(
-    0x0F, "__followers__",
+    0x0F,
     followers=tuple_of(INT), line_edges=tuple_of(pair(INT, INT)), epoch=INT,
 )
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class FollowersPayload:
         return ("followers", self.followers, self.line_edges, self.epoch)
 
 
-@wire_message(0x10, "__digest__", epoch=INT, row_digests=tuple_of(STR))
+@wire_message(0x10, epoch=INT, row_digests=tuple_of(STR))
 @dataclass(frozen=True)
 class MatrixDigestPayload:
     """``<DIGEST, e, d_0..d_n>`` — anti-entropy summary of the local matrix.
@@ -76,7 +76,7 @@ class MatrixDigestPayload:
         return ("digest", self.epoch, self.row_digests)
 
 
-@wire_message(0x11, "__rows__", certs=tuple_of(VALUE))
+@wire_message(0x11, certs=tuple_of(VALUE))
 @dataclass(frozen=True)
 class RowCertsPayload:
     """``<ROWS, certs>`` — anti-entropy response carrying signed rows.

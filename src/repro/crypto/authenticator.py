@@ -12,7 +12,7 @@ from repro.util.ids import ProcessId, validate_pid
 from repro.util.wire_schema import VALUE, value, wire_message
 
 
-@wire_message(0x0C, "__signed__", payload=VALUE, signature=value(Signature))
+@wire_message(0x0C, payload=VALUE, signature=value(Signature))
 @dataclass(frozen=True)
 class SignedMessage:
     """A payload together with its signature — the paper's ``<m>_sigma_i``.

@@ -13,7 +13,7 @@ from repro.util.ids import ProcessId
 from repro.util.wire_schema import BYTES, INT, wire_message
 
 
-@wire_message(0x0D, "__sig__", signer=INT, tag=BYTES)
+@wire_message(0x0D, signer=INT, tag=BYTES)
 @dataclass(frozen=True)
 class Signature:
     """A signature: claimed signer id plus MAC tag over the payload.

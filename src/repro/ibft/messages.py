@@ -51,7 +51,7 @@ class _RoundNumbered:
         return self.round
 
 
-@wire_message(0x1B, "__ipp__", round=INT, slot=INT, signed_requests=tuple_of(VALUE))
+@wire_message(0x1B, round=INT, slot=INT, signed_requests=tuple_of(VALUE))
 @dataclass(frozen=True)
 class PrePreparePayload(_RoundNumbered, Proposal):
     """``PRE-PREPARE(round, slot, signed_requests)`` from the round's leader."""
@@ -63,7 +63,7 @@ class PrePreparePayload(_RoundNumbered, Proposal):
     signed_requests: Tuple[SignedMessage, ...]  # client-signed ClientRequests
 
 
-@wire_message(0x1C, "__iprep__", round=INT, slot=INT, request_digest=STR)
+@wire_message(0x1C, round=INT, slot=INT, request_digest=STR)
 @dataclass(frozen=True)
 class IbftPreparePayload(_RoundNumbered):
     """``PREPARE(round, slot, digest)`` — a member's echo vote."""
@@ -76,7 +76,7 @@ class IbftPreparePayload(_RoundNumbered):
         return ("ibft-prepare", self.round, self.slot, self.request_digest)
 
 
-@wire_message(0x1D, "__icommit__", round=INT, slot=INT, request_digest=STR)
+@wire_message(0x1D, round=INT, slot=INT, request_digest=STR)
 @dataclass(frozen=True)
 class IbftCommitPayload(_RoundNumbered):
     """``COMMIT(round, slot, digest)`` — a member's commit vote."""
@@ -89,7 +89,7 @@ class IbftCommitPayload(_RoundNumbered):
         return ("ibft-commit", self.round, self.slot, self.request_digest)
 
 
-@wire_message(0x1E, "__icert__", preprepare=VALUE, commits=tuple_of(VALUE))
+@wire_message(0x1E, preprepare=VALUE, commits=tuple_of(VALUE))
 @dataclass(frozen=True)
 class IbftCommitCertificate:
     """Proof that one batch committed at one (round, slot).

@@ -49,7 +49,7 @@ register_kind_ids({
 
 
 # Tags 0x1F and 0x20 are retired (IBFT's former round-change payloads).
-@wire_message(0x21, "__sprop__", view=INT, slot=INT, signed_requests=tuple_of(VALUE))
+@wire_message(0x21, view=INT, slot=INT, signed_requests=tuple_of(VALUE))
 @dataclass(frozen=True)
 class ProposePayload(Proposal):
     """``PROPOSE(view, slot, signed_requests)`` from the view's leader."""
@@ -61,7 +61,7 @@ class ProposePayload(Proposal):
     signed_requests: Tuple[SignedMessage, ...]  # client-signed ClientRequests
 
 
-@wire_message(0x22, "__sack__", view=INT, slot=INT, request_digest=STR)
+@wire_message(0x22, view=INT, slot=INT, request_digest=STR)
 @dataclass(frozen=True)
 class AckPayload:
     """``ACK(view, slot, digest)`` — a follower's vote, sent to the leader."""
@@ -74,7 +74,7 @@ class AckPayload:
         return ("st-ack", self.view, self.slot, self.request_digest)
 
 
-@wire_message(0x23, "__sdecide__", view=INT, slot=INT, propose=VALUE, acks=tuple_of(VALUE))
+@wire_message(0x23, view=INT, slot=INT, propose=VALUE, acks=tuple_of(VALUE))
 @dataclass(frozen=True)
 class DecidePayload:
     """``DECIDE(view, slot, propose, acks)`` from the leader — and, without

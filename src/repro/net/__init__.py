@@ -8,16 +8,15 @@ detector, and Follower Selection run *unchanged* outside the simulator.
 
 Layers, bottom up:
 
-- :mod:`repro.net.wire` — length-prefixed framing with two negotiable
-  codecs: tagged-JSON ``WIRE_V1`` and the compact binary ``WIRE_V2``
-  (struct-packed headers, varint-coded payloads), plus the multi-frame
-  batch envelope authenticated by a single link-level HMAC.
+- :mod:`repro.net.wire` — length-prefixed binary frames (struct-packed
+  headers, varint-coded payloads), plus the multi-frame batch envelope
+  authenticated by a single link-level HMAC.
 - :mod:`repro.net.batch` — batching policy/buffer, the batch
   authenticator, and the hot-path wire statistics.
 - :mod:`repro.net.loop` — optional uvloop activation (``--uvloop`` /
   ``REPRO_UVLOOP=1``) with a clean fallback where it is not installed.
 - :mod:`repro.net.peer` — per-peer connections: dial-on-demand,
-  per-connection codec negotiation, coalesced + pipelined sends,
+  coalesced + pipelined sends,
   reconnect with exponential backoff + jitter, bounded outbound queues
   whose overflow policy is *drop* (an omission failure — exactly the
   fault class Quorum Selection is built to tolerate).
@@ -37,19 +36,13 @@ from repro.net.loop import maybe_install_uvloop, uvloop_active, uvloop_available
 from repro.net.peer import PeerManager, ReconnectPolicy
 from repro.net.timers import NetTimerService
 from repro.net.wire import (
-    DEFAULT_WIRE_VERSION,
-    WIRE_V1,
     WIRE_V2,
-    WIRE_VERSIONS,
     BatchAuthError,
     FrameDecoder,
     WireError,
     decode_frame_body,
-    decode_value,
     encode_frame,
     encode_frame_body,
-    encode_value,
-    resolve_wire_version,
 )
 
 __all__ = [
@@ -63,13 +56,7 @@ __all__ = [
     "encode_frame",
     "encode_frame_body",
     "decode_frame_body",
-    "encode_value",
-    "decode_value",
-    "WIRE_V1",
     "WIRE_V2",
-    "WIRE_VERSIONS",
-    "DEFAULT_WIRE_VERSION",
-    "resolve_wire_version",
     "BatchPolicy",
     "BatchBuffer",
     "BatchAuthenticator",

@@ -1,8 +1,7 @@
 """Send-side batching policy, link-level batch MAC, and wire statistics.
 
 The peer layer (:mod:`repro.net.peer`) coalesces each link's outbound
-frames into one write — and, on a WIRE_V2 connection, one batch envelope
-carrying a single HMAC — instead of one write (and one per-frame
+frames into one write — one batch envelope carrying a single HMAC — instead of one write (and one per-frame
 signature check on the receiving ingress) per frame.  Everything that
 parameterizes or observes that behaviour lives here:
 
@@ -150,7 +149,6 @@ class WireStats:
         "batch_frames_sum",
         "batch_flushes",
         "batch_bucket_counts",
-        "negotiated_versions",
     )
 
     def __init__(self) -> None:
@@ -160,7 +158,6 @@ class WireStats:
         self.batch_frames_sum = 0
         self.batch_flushes = 0
         self.batch_bucket_counts = [0] * (len(BATCH_FRAME_BUCKETS) + 1)
-        self.negotiated_versions: Dict[int, int] = {}
 
     def record_encode(self, seconds: float) -> None:
         self.encode_seconds_sum += seconds
@@ -187,14 +184,10 @@ class WireStats:
         self.batch_flushes += 1
         self.batch_bucket_counts[bisect_left(BATCH_FRAME_BUCKETS, frames)] += 1
 
-    def record_negotiation(self, version: int) -> None:
-        self.negotiated_versions[version] = self.negotiated_versions.get(version, 0) + 1
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "encode_count": self.encode_count,
             "encode_seconds_sum": self.encode_seconds_sum,
             "batch_flushes": self.batch_flushes,
             "batch_frames_sum": self.batch_frames_sum,
-            "negotiated_versions": dict(self.negotiated_versions),
         }

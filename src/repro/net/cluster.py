@@ -62,11 +62,6 @@ class ClusterConfig:
     anti_entropy_period: Optional[float] = None
     run_dir: Optional[Path] = None
     startup_timeout: float = 30.0
-    #: Wire codec offered by every node (``None``: each node resolves its
-    #: own default).  ``wire_versions`` overrides per pid, which is how
-    #: the mixed-version interop test pins one replica to V1.
-    wire_version: Optional[int] = None
-    wire_versions: Optional[Dict[int, int]] = None
     uvloop: bool = False
     #: Replicated service every node runs (``"kv"``) or ``None``.
     service: Optional[str] = None
@@ -84,25 +79,12 @@ class ClusterConfig:
     protocol: str = "xpaxos"
 
     def validate(self) -> None:
-        from repro.net.wire import WIRE_VERSIONS
         from repro.protocol.backend import backend_names
 
         if not 1 <= self.f < self.n - self.f:
             raise ConfigurationError(
                 f"need 1 <= f and q = n - f > f; got n={self.n}, f={self.f}"
             )
-        versions = dict(self.wire_versions or {})
-        if self.wire_version is not None:
-            versions[0] = self.wire_version
-        for pid, version in versions.items():
-            if version not in WIRE_VERSIONS:
-                raise ConfigurationError(
-                    f"wire version must be one of {WIRE_VERSIONS}, got {version}"
-                )
-            if pid and not 1 <= pid <= self.n:
-                raise ConfigurationError(
-                    f"wire_versions pid {pid} out of range for n={self.n}"
-                )
         if self.duration <= 0:
             raise ConfigurationError(f"duration must be positive, got {self.duration}")
         if self.kill_mode not in ("host", "process"):
@@ -289,9 +271,6 @@ def _node_command(config: ClusterConfig, pid: int) -> List[str]:
         cmd += ["--metrics-prom", str(Path(config.run_dir) / f"node_{pid}.prom")]
     if config.anti_entropy_period is not None:
         cmd += ["--anti-entropy", str(config.anti_entropy_period)]
-    wire_version = (config.wire_versions or {}).get(pid, config.wire_version)
-    if wire_version is not None:
-        cmd += ["--wire-version", str(wire_version)]
     if config.service is not None:
         cmd += [
             "--service", config.service,

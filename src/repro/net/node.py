@@ -4,7 +4,7 @@ A node is one OS process hosting one :class:`~repro.net.host.NetHost`
 with the exact module stack the simulator uses
 (:func:`repro.sim.worlds.attach_qs_stack`): failure detector, heartbeat
 application, and Quorum (or Follower) Selection.  It speaks the
-length-prefixed JSON wire protocol with its peers and narrates itself as
+length-prefixed binary wire protocol with its peers and narrates itself as
 JSON lines on stdout — one line per protocol transition — so the cluster
 harness (and any log shipper) can consume the run structurally.
 
@@ -46,7 +46,6 @@ from repro.net.host import NetHost
 from repro.net.loop import maybe_install_uvloop, uvloop_active
 from repro.net.peer import PeerManager
 from repro.net.timers import NetTimerService
-from repro.net.wire import WIRE_VERSIONS
 from repro.obs.observability import Observability
 from repro.obs.registry import render_prometheus
 from repro.protocol.backend import backend_names
@@ -91,9 +90,6 @@ class NodeConfig:
     #: exposition format (``None`` disables the file; the JSONL
     #: ``metrics`` event is emitted regardless).
     metrics_prom_path: Optional[str] = None
-    #: Wire codec this node offers/accepts (``None``: REPRO_WIRE_VERSION
-    #: or the default).  Connections still negotiate down per peer.
-    wire_version: Optional[int] = None
     #: Install uvloop before running (no-op where unavailable).
     uvloop: bool = False
     #: Run a replicated service on top of the QS stack (``"kv"``), or
@@ -125,10 +121,6 @@ class NodeConfig:
         for t in (*self.kills_at, *self.recovers_at):
             if t < 0:
                 raise ConfigurationError(f"injection times must be >= 0, got {t}")
-        if self.wire_version is not None and self.wire_version not in WIRE_VERSIONS:
-            raise ConfigurationError(
-                f"wire_version must be one of {WIRE_VERSIONS}, got {self.wire_version}"
-            )
         if self.service not in (None, "kv"):
             raise ConfigurationError(f"service must be 'kv' or omitted, got {self.service!r}")
         if self.service_clients < 0:
@@ -204,7 +196,6 @@ async def run_node(config: NodeConfig, emit=None) -> Dict[str, Any]:
         config.pid,
         queue_capacity=config.queue_capacity,
         rng_seed=config.pid,  # reproducible backoff per replica
-        wire_version=config.wire_version,
         batch_auth=BatchAuthenticator(registry, config.pid),
     )
     host_addr, port = await manager.start_server(config.bind_host, config.port)
@@ -294,7 +285,6 @@ async def run_node(config: NodeConfig, emit=None) -> Dict[str, Any]:
         "suspecting": sorted(module.suspecting),
         "stats": stats,
         "wire": {
-            "version": manager.wire_version,
             "uvloop": uvloop_active(),
             "batch_policy": manager.batch_policy.as_dict(),
             **manager.wire_stats.as_dict(),

@@ -106,8 +106,6 @@ def run_net_schedule(
     heartbeat_period: float = 0.3,
     base_timeout: float = 2.0,
     run_dir=None,
-    wire_version: Optional[int] = None,
-    wire_versions: Optional[Dict[int, int]] = None,
 ) -> Tuple[RuntimeOutcome, ClusterResult]:
     """Execute the schedule on a live loopback cluster."""
     config = ClusterConfig(
@@ -120,8 +118,6 @@ def run_net_schedule(
         heartbeat_period=heartbeat_period,
         base_timeout=base_timeout,
         run_dir=run_dir,
-        wire_version=wire_version,
-        wire_versions=wire_versions,
     )
     result = run_cluster(config)
     outcome = RuntimeOutcome(
@@ -177,8 +173,6 @@ def run_net_metrics(
     heartbeat_period: float = 0.3,
     base_timeout: float = 2.0,
     run_dir=None,
-    wire_version: Optional[int] = None,
-    wire_versions: Optional[Dict[int, int]] = None,
 ) -> Tuple[Dict[int, dict], ClusterResult]:
     """Execute the schedule on a live cluster; return per-node snapshots."""
     _outcome, result = run_net_schedule(
@@ -186,8 +180,6 @@ def run_net_metrics(
         heartbeat_period=heartbeat_period,
         base_timeout=base_timeout,
         run_dir=run_dir,
-        wire_version=wire_version,
-        wire_versions=wire_versions,
     )
     return result.metrics_snapshots(), result
 

@@ -20,19 +20,13 @@ Outbound design choices, all in service of the paper's fault model:
   suspects and Quorum Selection tolerates — so backpressure degrades
   into the protocol's own fault model instead of unbounded memory.
 
-E27 adds the hot-path machinery on top:
-
-- **Per-connection codec negotiation** (hello/ack over WIRE_V1, the
-  lowest common denominator): a dialer offering WIRE_V2 settles on the
-  highest version the listener also speaks, and falls back to WIRE_V1
-  on timeout — so mixed-version clusters interoperate frame-for-frame.
-- **Deferred encoding + batched, pipelined writes**: ``send`` enqueues
-  ``(kind, payload)``; the writer task encodes with the *negotiated*
-  codec, coalesces frames per :class:`~repro.net.batch.BatchPolicy`,
-  and flushes one write (on WIRE_V2: one batch envelope under a single
-  link-level HMAC) per batch.  Senders never wait for a round trip —
-  the next round's frames pile into the queue while earlier batches are
-  still in flight.
+E27 adds the hot-path machinery on top — **deferred encoding +
+batched, pipelined writes**: ``send`` enqueues ``(kind, payload)``; the
+writer task encodes, coalesces frames per
+:class:`~repro.net.batch.BatchPolicy`, and flushes one write (one batch
+envelope under a single link-level HMAC) per batch.  Senders never wait
+for a round trip — the next round's frames pile into the queue while
+earlier batches are still in flight.
 
 Frames already written to a socket that later dies are simply lost
 (in-flight messages of a crashing link), again an omission.
@@ -49,22 +43,13 @@ from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.net.batch import MEMBER_OVERHEAD, BatchPolicy, WireStats
 from repro.net.wire import (
-    _CONTROL_PREFIX,
-    KIND_ACK,
-    KIND_HELLO,
-    WIRE_V1,
     WIRE_V2,
-    WIRE_VERSIONS,
     FrameDecoder,
     WireError,
-    encode_ack,
+    check_wire_version,
     encode_batch,
-    encode_hello,
     frame_bytes,
     make_frame_encoder,
-    negotiate_ack_version,
-    parse_ack_version,
-    resolve_wire_version,
 )
 
 IngressHandler = Callable[[str, Any, int], None]
@@ -107,7 +92,6 @@ class PeerStats:
     batches_sent: int = 0
     batches_received: int = 0
     batches_rejected: int = 0
-    handshakes: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
@@ -128,19 +112,15 @@ class PeerConnection:
         # the Queue's getter/putter bookkeeping.
         self.queue: Deque[Tuple[str, Any]] = deque()
         self._wake = asyncio.Event()
-        self.reader: Optional[asyncio.StreamReader] = None
         self.writer: Optional[asyncio.StreamWriter] = None
         self.task: Optional[asyncio.Task] = None
         self.closed = False
-        #: Codec settled by the hello/ack handshake; ``None`` until then.
-        self.negotiated_version: Optional[int] = None
 
     def enqueue(self, kind: str, payload: Any) -> bool:
         """Queue a frame; drop (and count) when the buffer is full.
 
-        Encoding is deferred to the writer task: the codec depends on the
-        per-connection negotiation, and a dropped frame should not pay
-        for bytes that will never reach a socket.
+        Encoding is deferred to the writer task: a dropped frame should
+        not pay for bytes that will never reach a socket.
         """
         if self.closed:
             return False
@@ -166,12 +146,10 @@ class PeerConnection:
         host, port = self.addr
         self.stats.dials += 1
         try:
-            reader, writer = await asyncio.open_connection(host, port)
+            _reader, writer = await asyncio.open_connection(host, port)
         except OSError:
             return False
-        self.reader = reader
         self.writer = writer
-        self.negotiated_version = None  # renegotiate per (re)connect
         return True
 
     async def ensure_connected(self, deadline: Optional[float] = None) -> bool:
@@ -189,49 +167,6 @@ class PeerConnection:
             await asyncio.sleep(delay)
         return False
 
-    async def _negotiate(self) -> None:
-        """Settle the codec for this connection (idempotent per dial).
-
-        A listener that never acks (an old node, a half-dead link) costs
-        one handshake timeout, after which the connection speaks WIRE_V1
-        — the version every peer in any mixed cluster understands.
-        """
-        if self.negotiated_version is not None:
-            return
-        offered = self.manager.wire_version
-        if offered <= WIRE_V1:
-            self.negotiated_version = WIRE_V1
-        else:
-            try:
-                assert self.writer is not None
-                self.writer.write(encode_hello(self.manager.pid, offered))
-                await self.writer.drain()
-                self.negotiated_version = await asyncio.wait_for(
-                    self._read_ack(offered), self.manager.handshake_timeout
-                )
-                self.stats.handshakes += 1
-            except (
-                asyncio.TimeoutError,
-                ConnectionError,
-                OSError,
-                WireError,
-                AssertionError,
-            ):
-                self.negotiated_version = WIRE_V1
-        self.manager.wire_stats.record_negotiation(self.negotiated_version)
-
-    async def _read_ack(self, offered: int) -> int:
-        """Wait for the listener's ack on the connection's return path."""
-        assert self.reader is not None
-        decoder = FrameDecoder(accept_versions=(WIRE_V1,))
-        while True:
-            chunk = await self.reader.read(4096)
-            if not chunk:
-                raise ConnectionResetError("peer closed during handshake")
-            for kind, payload, _src in decoder.feed(chunk):
-                if kind == KIND_ACK:
-                    return parse_ack_version(payload, offered)
-
     async def _collect(self) -> List[bytes]:
         """Block for the first frame, then coalesce per the batch policy.
 
@@ -248,8 +183,7 @@ class PeerConnection:
             await wake.wait()
         manager = self.manager
         policy = manager.batch_policy
-        version = self.negotiated_version or WIRE_V1
-        encode = manager.frame_encoder(version)
+        encode = manager.encode_body
         max_frames = policy.max_frames
         max_bytes = policy.max_bytes
         bodies: List[bytes] = []
@@ -287,9 +221,8 @@ class PeerConnection:
     async def _flush(self, bodies: List[bytes]) -> None:
         """One write (and at most one link MAC) for the whole batch."""
         assert self.writer is not None
-        version = self.negotiated_version or WIRE_V1
         data: Optional[bytes] = None
-        if version >= WIRE_V2 and len(bodies) > 1:
+        if len(bodies) > 1:
             try:
                 data = encode_batch(bodies, self.manager.pid, auth=self.manager.batch_auth)
                 self.stats.batches_sent += 1
@@ -310,7 +243,6 @@ class PeerConnection:
                 if not self.connected and not await self.ensure_connected():
                     return
                 try:
-                    await self._negotiate()
                     bodies = await self._collect()
                 except (asyncio.CancelledError, RuntimeError):
                     return
@@ -337,8 +269,6 @@ class PeerConnection:
             except Exception:
                 pass
             self.writer = None
-        self.reader = None
-        self.negotiated_version = None
 
     async def close(self) -> None:
         self.closed = True
@@ -363,11 +293,11 @@ class PeerManager:
         queue_capacity: int = 1024,
         policy: Optional[ReconnectPolicy] = None,
         rng_seed: Optional[int] = None,
-        wire_version: Optional[int] = None,
+        wire_version: int = WIRE_V2,
         batch_policy: Optional[BatchPolicy] = None,
         batch_auth: Optional[Any] = None,
-        handshake_timeout: float = 3.0,
     ) -> None:
+        check_wire_version(wire_version)
         self.pid = pid
         self.addresses: Dict[int, Tuple[str, int]] = dict(addresses or {})
         self.ingress = ingress
@@ -377,24 +307,15 @@ class PeerManager:
         # leave it None for OS entropy.
         self.rng = random.Random(rng_seed)
         self.stats = PeerStats()
-        self.wire_version = resolve_wire_version(wire_version)
         self.batch_policy = batch_policy if batch_policy is not None else BatchPolicy()
         self.batch_auth = batch_auth
-        self.handshake_timeout = handshake_timeout
         self.wire_stats = WireStats()
+        #: ``(kind, payload) -> body`` for every outbound link.
+        self.encode_body = make_frame_encoder(pid)
         self._connections: Dict[int, PeerConnection] = {}
         self._enqueues: Dict[int, Callable[[str, Any], bool]] = {}
-        self._encoders: Dict[int, Callable[[str, Any], bytes]] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._reader_tasks: set = set()
-
-    def frame_encoder(self, version: int) -> Callable[[str, Any], bytes]:
-        """The (cached) ``(kind, payload) -> body`` encoder for a codec."""
-        encoder = self._encoders.get(version)
-        if encoder is None:
-            encoder = make_frame_encoder(self.pid, version)
-            self._encoders[version] = encoder
-        return encoder
 
     # -------------------------------------------------------------- serving
 
@@ -409,10 +330,6 @@ class PeerManager:
         bound = sock.getsockname()
         return bound[0], bound[1]
 
-    def _accepted_versions(self) -> Tuple[int, ...]:
-        """Codec versions this node decodes: everything up to its own."""
-        return tuple(v for v in WIRE_VERSIONS if v <= self.wire_version)
-
     async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         self.stats.connections_accepted += 1
         task = asyncio.current_task()
@@ -422,10 +339,7 @@ class PeerManager:
         # batch_auth is read through a provider per batch, so a host that
         # wires the authenticator up after this stream was accepted still
         # gets its batches verified.
-        decoder = FrameDecoder(
-            accept_versions=self._accepted_versions(),
-            batch_auth_provider=lambda: self.batch_auth,
-        )
+        decoder = FrameDecoder(batch_auth_provider=lambda: self.batch_auth)
         seen_malformed = 0
         seen_batches = 0
         seen_rejected = 0
@@ -450,17 +364,11 @@ class PeerManager:
                     self.stats.batches_rejected += decoder.batches_rejected - seen_rejected
                     seen_rejected = decoder.batches_rejected
                 self.stats.bytes_received += len(chunk)
+                self.stats.frames_received += len(frames)
                 ingress = self.ingress
-                delivered = 0
-                for kind, payload, src in frames:
-                    # inline is_control_kind: this loop is per-frame hot
-                    if kind.startswith(_CONTROL_PREFIX):
-                        self._handle_control(kind, payload, writer)
-                        continue
-                    delivered += 1
-                    if ingress is not None:
+                if ingress is not None:
+                    for kind, payload, src in frames:
                         ingress(kind, payload, src)
-                self.stats.frames_received += delivered
         except (ConnectionError, asyncio.CancelledError, asyncio.IncompleteReadError):
             self.stats.connections_dropped += 1
         finally:
@@ -468,16 +376,6 @@ class PeerManager:
                 writer.close()
             except Exception:
                 pass
-
-    def _handle_control(self, kind: str, payload: Any, writer: asyncio.StreamWriter) -> None:
-        """Negotiation frames: answered on the same stream, never delivered."""
-        if kind != KIND_HELLO:
-            return  # unknown control traffic is dropped, not forwarded
-        version = negotiate_ack_version(payload, self.wire_version)
-        try:
-            writer.write(encode_ack(self.pid, version))
-        except Exception:
-            pass  # a dead return path just means the dialer times out to V1
 
     # ----------------------------------------------------------- outbound
 

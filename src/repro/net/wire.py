@@ -1,50 +1,41 @@
-"""Negotiable wire codecs for the live runtime: tagged JSON and binary.
+"""The wire codec of the live runtime: binary frames and batch envelopes.
 
 A frame on the wire is a 4-byte big-endian length followed by one frame
-*body*.  Two codecs share that framing and are negotiated per connection
-(see :mod:`repro.net.peer`):
+*body*: a struct-packed fixed header (magic byte 0x02, kind id, source
+id), then a type-tagged binary value encoding.  Encoding reuses a
+preallocated scratch buffer and a memo keyed by payload identity;
+decoding walks a ``memoryview`` cursor with zero-copy slicing and
+memoizes immutable bodies.
 
-- **WIRE_V1** — one UTF-8 JSON object ``{"v": 1, "k": kind, "s": src,
-  "p": payload}``.  Python-only types are wrapped in single-key tag
-  objects (``{"__tuple__": [...]}`` etc.).  Bodies always start with
-  ``{`` (0x7B), which is what makes version dispatch a first-byte check.
-- **WIRE_V2** — a compact binary body: a struct-packed fixed header
-  (magic byte 0x02, kind id, source id), then a type-tagged binary
-  value encoding.  Encoding reuses a preallocated scratch buffer and a
-  memo keyed by payload identity; decoding walks a ``memoryview`` cursor
-  with zero-copy slicing and memoizes immutable bodies.
-
-Batches are a third body shape (magic byte 0x03): several frame bodies
+Batches are a second body shape (magic byte 0x03): several frame bodies
 in one envelope, optionally authenticated by a single link-level
 HMAC-SHA256 over the whole envelope — one MAC per *batch* where the
 ingress path previously paid one signature verification per *frame*
 (protocol-level signatures inside the payloads are still verified by the
 host and failure detector; the batch MAC adds link-origin integrity to
-otherwise unsigned frames such as anti-entropy probes).
+otherwise unsigned frames such as anti-entropy probes).  A body with
+any other first byte is malformed.
 
-This module owns frames, batches, negotiation and stream decoding.  How
-a *value* is written in either codec lives in
-:mod:`repro.util.wire_schema`: the builtin vocabulary (``None``/bool/
-int/float/str, bytes, tuples, lists, sets, frozensets, dicts — exactly
-what :mod:`repro.crypto.digests` canonically encodes) plus every message
-dataclass that declared its fields there.  Nothing here names a message
-class; a new message kind or backend adds no line to this file.  A
-decoded payload is *type-identical* to the sent one — which matters
-because signature verification re-derives the canonical encoding from
-the decoded object: a tuple that came back as a list would change the
-bytes under the MAC and reject every valid signature.
+This module owns frames, batches and stream decoding.  How a *value* is
+written lives in :mod:`repro.util.wire_schema`: the builtin vocabulary
+(``None``/bool/int/float/str, bytes, tuples, lists, sets, frozensets,
+dicts — exactly what :mod:`repro.crypto.digests` canonically encodes)
+plus every message dataclass that declared its fields there.  Nothing
+here names a message class; a new message kind or backend adds no line
+to this file.  A decoded payload is *type-identical* to the sent one —
+which matters because signature verification re-derives the canonical
+encoding from the decoded object: a tuple that came back as a list
+would change the bytes under the MAC and reject every valid signature.
 
-Decoding is strict and defensive: unknown tags, wrong arities, oversized
-frames, and over-deep nesting raise :class:`WireError` — receivers drop
-the frame (or connection) and count it, never crash.  Anything a
-Byzantine peer can put on a socket goes through this gauntlet before any
-protocol module sees it.
+Decoding is strict and defensive: unknown tags, truncated bodies,
+oversized frames, and over-deep nesting raise :class:`WireError` —
+receivers drop the frame (or connection) and count it, never crash.
+Anything a Byzantine peer can put on a socket goes through this gauntlet
+before any protocol module sees it.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import struct
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -61,22 +52,15 @@ from repro.util.wire_schema import (  # noqa: F401 - re-exported API
     KIND_IDS,
     MAX_DEPTH,
     WireError,
-    decode_value,
     decode_value_v2,
-    encode_value,
     encode_value_v2,
     read_str,
     write_uvarint,
 )
 
-#: The two negotiable codec versions.
-WIRE_V1 = 1
+#: The codec version.  ``encode_frame_body``'s ``version`` and the
+#: ``wire_version`` keywords of the peer layer accept only this value.
 WIRE_V2 = 2
-WIRE_VERSIONS = (WIRE_V1, WIRE_V2)
-
-#: What a fresh connection offers when nothing picks a version
-#: explicitly (``PeerManager(wire_version=...)`` or ``REPRO_WIRE_VERSION``).
-DEFAULT_WIRE_VERSION = WIRE_V2
 
 #: Upper bound on one frame (or batch envelope) body.  Honest traffic is
 #: tiny (a signed row for n=100 is ~1 KiB); the cap bounds what a
@@ -85,43 +69,23 @@ MAX_FRAME_BYTES = 1 << 20
 
 _LEN = struct.Struct(">I")
 
-#: First body byte of a V2 frame / batch envelope.  V1 JSON bodies start
-#: with ``{`` (0x7B), so the three shapes are disjoint on the first byte.
+#: First body byte of a frame / batch envelope: the two shapes are
+#: disjoint on the first byte, and any other first byte is malformed.
 MAGIC_V2 = 0x02
 MAGIC_BATCH = 0x03
-
-#: Control frame kinds used by per-connection codec negotiation.  They
-#: are consumed by the peer layer and never reach a host's ingress.
-KIND_HELLO = "wire.hello"
-KIND_ACK = "wire.ack"
-_CONTROL_PREFIX = "wire."
 
 
 class BatchAuthError(WireError):
     """A batch envelope failed (or lacked) its link-level MAC."""
 
 
-def resolve_wire_version(version: Optional[int] = None) -> int:
-    """Explicit version, else ``REPRO_WIRE_VERSION``, else the default."""
-    if version is None:
-        raw = os.environ.get("REPRO_WIRE_VERSION", "").strip()
-        if not raw:
-            return DEFAULT_WIRE_VERSION
-        try:
-            version = int(raw)
-        except ValueError as exc:
-            raise WireError(f"REPRO_WIRE_VERSION must be an integer, got {raw!r}") from exc
-    if version not in WIRE_VERSIONS:
-        raise WireError(f"unsupported wire version {version!r} (have {WIRE_VERSIONS})")
-    return version
+def check_wire_version(version: int) -> None:
+    """Refuse any codec version but :data:`WIRE_V2`."""
+    if version != WIRE_V2:
+        raise WireError(f"unsupported wire version {version!r} (only {WIRE_V2})")
 
 
-def is_control_kind(kind: str) -> bool:
-    """Negotiation traffic: handled by the peer layer, never delivered."""
-    return kind.startswith(_CONTROL_PREFIX)
-
-
-#: V2 fixed frame header: magic byte, kind tag, source id (uint16).
+#: Fixed frame header: magic byte, kind tag, source id (uint16).
 _HDR_V2 = struct.Struct(">BBH")
 
 #: Batch envelope header: magic byte, flags, source id, member count.
@@ -156,15 +120,8 @@ def frame_bytes(body: bytes) -> bytes:
     return _LEN.pack(len(body)) + body
 
 
-def _encode_frame_body_v1(kind: str, payload: Any, src: int) -> bytes:
-    return json.dumps(
-        {"v": WIRE_V1, "k": kind, "s": src, "p": encode_value(payload)},
-        separators=(",", ":"),
-        allow_nan=False,
-    ).encode("utf-8")
-
-
-def _encode_frame_body_v2(kind: str, payload: Any, src: int) -> bytes:
+def _encode_frame_body(kind: str, payload: Any, src: int) -> bytes:
+    """The one encode path: memo probe, header, value, frame cap, memo."""
     global _SCRATCH_BUSY
     memo_key = (kind, id(payload), src)
     hit = _ENCODE_MEMO.get(memo_key)
@@ -173,7 +130,7 @@ def _encode_frame_body_v2(kind: str, payload: Any, src: int) -> bytes:
     if not isinstance(kind, str) or not kind:
         raise WireError("frame kind must be a non-empty string")
     if not isinstance(src, int) or isinstance(src, bool) or not 1 <= src <= 0xFFFF:
-        raise WireError("V2 frame src must be a pid in [1, 65535]")
+        raise WireError("frame src must be a pid in [1, 65535]")
     if _SCRATCH_BUSY:
         buf = bytearray()
         reuse = False
@@ -199,6 +156,9 @@ def _encode_frame_body_v2(kind: str, payload: Any, src: int) -> bytes:
     finally:
         if reuse:
             _SCRATCH_BUSY = False
+    # Before the memo: a memoized body is returned without this check.
+    if len(body) > MAX_FRAME_BYTES:
+        raise WireError(f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES")
     try:
         hash(payload)
     except TypeError:
@@ -209,26 +169,19 @@ def _encode_frame_body_v2(kind: str, payload: Any, src: int) -> bytes:
     return body
 
 
-def encode_frame_body(kind: str, payload: Any, src: int, version: int = WIRE_V1) -> bytes:
-    """One frame body (no length prefix) in the requested codec."""
-    if version == WIRE_V1:
-        body = _encode_frame_body_v1(kind, payload, src)
-    elif version == WIRE_V2:
-        body = _encode_frame_body_v2(kind, payload, src)
-    else:
-        raise WireError(f"unsupported wire version {version!r}")
-    if len(body) > MAX_FRAME_BYTES:
-        raise WireError(f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES")
-    return body
+def encode_frame_body(kind: str, payload: Any, src: int, version: int = WIRE_V2) -> bytes:
+    """One frame body (no length prefix)."""
+    check_wire_version(version)
+    return _encode_frame_body(kind, payload, src)
 
 
-def encode_frame(kind: str, payload: Any, src: int, version: int = WIRE_V1) -> bytes:
-    """One wire frame: length prefix + body (V1 by default, for interop)."""
-    return frame_bytes(encode_frame_body(kind, payload, src, version))
+def encode_frame(kind: str, payload: Any, src: int) -> bytes:
+    """One wire frame: length prefix + body."""
+    return frame_bytes(_encode_frame_body(kind, payload, src))
 
 
-def make_frame_encoder(src: int, version: int) -> Callable[[str, Any], bytes]:
-    """A ``(kind, payload) -> body`` callable pinned to one (src, version).
+def make_frame_encoder(src: int) -> Callable[[str, Any], bytes]:
+    """A ``(kind, payload) -> body`` callable pinned to one ``src``.
 
     Equivalent to :func:`encode_frame_body` with the memo probe inlined —
     the writer task calls this once per frame, so the closure saves a
@@ -236,50 +189,18 @@ def make_frame_encoder(src: int, version: int) -> Callable[[str, Any], bytes]:
     place when full, never reassigned, so the closure's reference stays
     live.
     """
-    if version == WIRE_V1:
-
-        def encode_v1(kind: str, payload: Any) -> bytes:
-            body = _encode_frame_body_v1(kind, payload, src)
-            if len(body) > MAX_FRAME_BYTES:
-                raise WireError(f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES")
-            return body
-
-        return encode_v1
-    if version != WIRE_V2:
-        raise WireError(f"unsupported wire version {version!r}")
     memo = _ENCODE_MEMO
 
-    def encode_v2(kind: str, payload: Any) -> bytes:
+    def encode(kind: str, payload: Any) -> bytes:
         hit = memo.get((kind, id(payload), src))
         if hit is not None and hit[0] is payload:
             return hit[1]
-        body = _encode_frame_body_v2(kind, payload, src)
-        if len(body) > MAX_FRAME_BYTES:
-            raise WireError(f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES")
-        return body
+        return _encode_frame_body(kind, payload, src)
 
-    return encode_v2
+    return encode
 
 
-def _decode_frame_body_v1(body: bytes) -> Tuple[str, Any, int]:
-    try:
-        envelope = json.loads(bytes(body).decode("utf-8"))
-        if not isinstance(envelope, dict) or envelope.get("v") != WIRE_V1:
-            raise WireError("frame envelope must be an object with wire version 1")
-        kind = envelope.get("k")
-        if not isinstance(kind, str) or not kind:
-            raise WireError("frame kind must be a non-empty string")
-        src = envelope.get("s")
-        if not isinstance(src, int) or isinstance(src, bool) or src < 1:
-            raise WireError("frame src must be a 1-based process id")
-        return kind, decode_value(envelope.get("p")), src
-    except WireError:
-        raise
-    except Exception as exc:  # bad UTF-8/JSON, RecursionError on a bracket bomb: stay typed
-        raise WireError(f"malformed V1 frame: {exc!r}") from exc
-
-
-def _decode_frame_body_v2(body: bytes) -> Tuple[str, Any, int]:
+def _decode_frame_body(body: bytes) -> Tuple[str, Any, int]:
     hit = _DECODE_MEMO.get(body)
     if hit is not None:
         return hit
@@ -303,7 +224,7 @@ def _decode_frame_body_v2(body: bytes) -> Tuple[str, Any, int]:
     except WireError:
         raise
     except Exception as exc:  # defensive: malformed input must stay typed
-        raise WireError(f"malformed V2 frame: {exc!r}") from exc
+        raise WireError(f"malformed frame: {exc!r}") from exc
     frame = (kind, payload, src)
     try:
         hash(payload)
@@ -318,18 +239,18 @@ def _decode_frame_body_v2(body: bytes) -> Tuple[str, Any, int]:
 def decode_frame_body(body: bytes) -> Tuple[str, Any, int]:
     """Decode one frame body into ``(kind, payload, src)``.
 
-    Dispatches on the first byte: 0x02 is a V2 binary frame, ``{`` opens
-    a V1 JSON envelope, and anything else (including a batch envelope,
-    which is not a *single* frame) is a :class:`WireError`.
+    A body must open with :data:`MAGIC_V2`; anything else (including a
+    batch envelope, which is not a *single* frame) is a
+    :class:`WireError`.
     """
     if not body:
         raise WireError("empty frame body")
     lead = body[0]
     if lead == MAGIC_V2:
-        return _decode_frame_body_v2(bytes(body))
+        return _decode_frame_body(bytes(body))
     if lead == MAGIC_BATCH:
         raise WireError("batch envelope where a single frame was expected")
-    return _decode_frame_body_v1(body)
+    raise WireError(f"unknown frame body lead byte {lead:#x}")
 
 
 # ------------------------------------------------------------------- batching
@@ -404,43 +325,6 @@ def split_batch_body(body: bytes, auth: Optional[Any] = None) -> Tuple[int, List
     return src, members
 
 
-# ---------------------------------------------------------------- negotiation
-# Hello/ack both travel as V1 frames — the lowest common denominator any
-# peer can parse — so a V1-only receiver still answers and the pair
-# settles on V1 without ever minting a protocol frame.
-
-
-def encode_hello(src: int, max_version: int) -> bytes:
-    """The dialer's offer: "I speak up to ``max_version``"."""
-    return encode_frame(KIND_HELLO, {"max": max_version}, src, version=WIRE_V1)
-
-
-def encode_ack(src: int, version: int) -> bytes:
-    """The listener's answer: "we speak ``version`` on this link"."""
-    return encode_frame(KIND_ACK, {"version": version}, src, version=WIRE_V1)
-
-
-def negotiate_ack_version(payload: Any, own_max: int) -> int:
-    """Listener side: highest version both ends speak (V1 on garbage)."""
-    offered = payload.get("max") if isinstance(payload, dict) else None
-    if not isinstance(offered, int) or isinstance(offered, bool) or offered < WIRE_V1:
-        offered = WIRE_V1
-    return min(offered, own_max)
-
-
-def parse_ack_version(payload: Any, own_max: int) -> int:
-    """Dialer side: accept the listener's pick if we speak it, else V1."""
-    version = payload.get("version") if isinstance(payload, dict) else None
-    if (
-        isinstance(version, int)
-        and not isinstance(version, bool)
-        and WIRE_V1 <= version <= own_max
-        and version in WIRE_VERSIONS
-    ):
-        return version
-    return WIRE_V1
-
-
 # ------------------------------------------------------------ stream decoding
 
 
@@ -450,8 +334,8 @@ class FrameDecoder:
     Feed arbitrary byte chunks; complete frames come back decoded.  Two
     failure modes are distinguished on purpose:
 
-    - a *single* malformed frame (bad JSON, unknown tag, a codec version
-      outside ``accept_versions``) is skipped and counted in
+    - a *single* malformed frame (unknown lead byte or tag, truncated
+      body) is skipped and counted in
       :attr:`malformed` — resynchronization is safe because the length
       prefix still delimits it; a batch that fails its link MAC is
       likewise skipped wholesale and counted in :attr:`batches_rejected`;
@@ -465,18 +349,12 @@ class FrameDecoder:
     takes effect.
     """
 
-    def __init__(
-        self,
-        accept_versions: Optional[Sequence[int]] = None,
-        batch_auth_provider: Optional[Callable[[], Any]] = None,
-    ) -> None:
+    def __init__(self, batch_auth_provider: Optional[Callable[[], Any]] = None) -> None:
         self._buffer = bytearray()
         self.malformed = 0
         self.frames_decoded = 0
         self.batches_decoded = 0
         self.batches_rejected = 0
-        self.accept = frozenset(accept_versions if accept_versions is not None else WIRE_VERSIONS)
-        self._accept_v2 = WIRE_V2 in self.accept
         self.batch_auth_provider = batch_auth_provider
 
     def feed(self, data: bytes) -> List[Tuple[str, Any, int]]:
@@ -500,9 +378,6 @@ class FrameDecoder:
             body = bytes(buffer[lensize:total])
             del buffer[:total]
             if body and body[0] == MAGIC_BATCH:
-                if not self._accept_v2:
-                    self.malformed += 1
-                    continue
                 auth = self.batch_auth_provider() if self.batch_auth_provider else None
                 try:
                     _src, members = split_batch_body(body, auth)
@@ -523,20 +398,13 @@ class FrameDecoder:
                 out.append(frame)
 
     def _decode_body(self, body: bytes) -> Optional[Tuple[str, Any, int]]:
-        """One non-batch body, or ``None`` (counted) when unacceptable."""
-        if body and body[0] == MAGIC_V2:
-            if not self._accept_v2:
-                self.malformed += 1  # a V2 frame at a V1-only receiver
+        """One non-batch body, or ``None`` (counted) when malformed."""
+        frame = _DECODE_MEMO.get(body)  # only well-formed bodies are memoized
+        if frame is None:
+            try:
+                frame = decode_frame_body(body)
+            except WireError:
+                self.malformed += 1
                 return None
-            frame = _DECODE_MEMO.get(body)
-            if frame is not None:  # only well-formed bodies are memoized
-                self.frames_decoded += 1
-                return frame
-        try:
-            frame = decode_frame_body(body)
-        except WireError:
-            self.malformed += 1
-            return None
         self.frames_decoded += 1
         return frame
-

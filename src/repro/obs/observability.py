@@ -160,7 +160,7 @@ def wire_stats_collector(manager: Any, pid: int) -> Collector:
     """Fold a live node's codec/batching statistics in (duck-typed).
 
     ``manager`` is anything shaped like :class:`~repro.net.peer.PeerManager`
-    (``wire_stats``, ``stats``, ``wire_version`` attributes); keeping the
+    (``wire_stats`` and ``stats`` attributes); keeping the
     dependency duck-typed means the obs layer never imports the network
     stack.  Histogram state is *overwritten* from the manager's plain
     arrays — the same collect-on-snapshot discipline as every other
@@ -176,9 +176,6 @@ def wire_stats_collector(manager: Any, pid: int) -> Collector:
         registry.counter(
             "net_bytes_received_total", help="bytes read from peer sockets", pid=pid
         ).set(stats.bytes_received)
-        registry.gauge(
-            "net_wire_version", help="configured wire codec version", pid=pid
-        ).set(manager.wire_version)
         batch_hist = registry.histogram(
             "net_batch_frames", help="frames coalesced per outbound flush",
             buckets=BATCH_FRAME_BUCKETS, pid=pid,
@@ -193,12 +190,6 @@ def wire_stats_collector(manager: Any, pid: int) -> Collector:
         encode_hist.counts = list(ws.encode_bucket_counts)
         encode_hist.sum = ws.encode_seconds_sum
         encode_hist.count = ws.encode_count
-        for version, count in sorted(ws.negotiated_versions.items()):
-            registry.counter(
-                "net_negotiated_connections_total",
-                help="outbound handshakes by negotiated codec version",
-                pid=pid, version=version,
-            ).set(count)
 
     return collect
 

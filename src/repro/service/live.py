@@ -34,6 +34,7 @@ from repro.net.host import NetHost
 from repro.net.node import parse_peer_map
 from repro.net.peer import PeerManager
 from repro.net.timers import NetTimerService
+from repro.net.wire import WIRE_V2
 from repro.protocol.selector import make_selector
 from repro.service.client import ServiceClient
 from repro.service.loadgen import LoadGenerator, Workload, summarize_phase
@@ -50,7 +51,7 @@ class ClientGateway:
         f: int,
         clients: int,
         retry_timeout: float = 1.0,
-        wire_version: Optional[int] = None,
+        wire_version: int = WIRE_V2,
         queue_capacity: int = 4096,
     ) -> None:
         self.n = n
@@ -149,7 +150,6 @@ async def run_live_load(
     checkpoint_interval: Optional[int] = 16,
     heartbeat_period: float = 0.3,
     base_timeout: float = 1.5,
-    wire_version: Optional[int] = None,
     protocol: str = "xpaxos",
     run_dir=None,
 ) -> Dict[str, Any]:
@@ -167,9 +167,7 @@ async def run_live_load(
             f"kill_leader_at {kill_leader_at} outside the load window [0, {duration})"
         )
     loop = asyncio.get_running_loop()
-    gateway = ClientGateway(
-        n, f, clients, retry_timeout=retry_timeout, wire_version=wire_version
-    )
+    gateway = ClientGateway(n, f, clients, retry_timeout=retry_timeout)
     gateway_addr = await gateway.start_server()
 
     initial_leader = make_selector("qs", n, f).leader_of(0)
@@ -187,7 +185,6 @@ async def run_live_load(
         recovers=recovers,
         heartbeat_period=heartbeat_period,
         base_timeout=base_timeout,
-        wire_version=wire_version,
         run_dir=run_dir,
         service="kv",
         service_clients=clients,

@@ -65,7 +65,6 @@ async def run_live_shard_load(
     checkpoint_interval: Optional[int] = 16,
     heartbeat_period: float = 0.3,
     base_timeout: float = 1.5,
-    wire_version: Optional[int] = None,
     run_dir=None,
 ) -> Dict[str, Any]:
     """Drive M live shard clusters under one routed workload; report phases.
@@ -95,9 +94,7 @@ async def run_live_shard_load(
     address_boxes: List[Dict[int, str]] = []
     configs: List[ClusterConfig] = []
     for s in range(shards):
-        gateway = ClientGateway(
-            n, f, clients, retry_timeout=retry_timeout, wire_version=wire_version
-        )
+        gateway = ClientGateway(n, f, clients, retry_timeout=retry_timeout)
         gateway_addr = await gateway.start_server()
         kills = ()
         recovers = ()
@@ -114,7 +111,6 @@ async def run_live_shard_load(
             recovers=recovers,
             heartbeat_period=heartbeat_period,
             base_timeout=base_timeout,
-            wire_version=wire_version,
             run_dir=(run_dir / f"shard_{s}") if run_dir is not None else None,
             service="kv",
             service_clients=clients,

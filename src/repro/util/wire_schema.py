@@ -1,40 +1,35 @@
 """Wire value codec: builtin vocabulary plus schema-registered messages.
 
-Both negotiable codecs of :mod:`repro.net.wire` encode *values* the same
-way — this module — and differ only in notation:
-
-- **V1** maps a value onto JSON: scalars pass through, everything else
-  becomes a single-key tag object (``{"__tuple__": [...]}``).
-- **V2** writes one type-tag byte, then a fixed or length-prefixed
-  binary body (LEB128 varints, zigzag ints, UTF-8 strings, counted
-  containers; sets in sorted-by-encoding order so equal sets produce
-  equal bytes).
+This module writes the *values* inside a :mod:`repro.net.wire` frame:
+one type-tag byte, then a fixed or length-prefixed binary body (LEB128
+varints, zigzag ints, UTF-8 strings, counted containers; sets in
+sorted-by-encoding order so equal sets produce equal bytes).
 
 A protocol message joins the vocabulary by declaring its fields once,
 beside its dataclass::
 
-    @wire_message(0x12, "__xreq__", client=INT, sequence=INT, op=value(tuple))
+    @wire_message(0x12, client=INT, sequence=INT, op=value(tuple))
     @dataclass(frozen=True)
     class ClientRequest: ...
 
-From that one table :func:`wire_message` compiles the V1 encoder, V1
-decoder, V2 encoder and V2 decoder and files them under the exact type,
-the V1 tag string and the V2 tag byte.  Field kinds are :data:`INT`,
-:data:`STR`, :data:`BYTES`, :func:`value` (any nested value, optionally
-required to decode to given types), :func:`tuple_of` and :func:`pair`.
-Compact V2 frame kind ids are declared the same way, beside the
-``KIND_*`` constants, with :func:`register_kind_ids`.  Tags and ids are
-wire format: append-only, and a collision is an import-time error.
+From that one table :func:`wire_message` compiles the encoder and the
+decoder and files them under the exact type and the tag byte.  Field
+kinds are :data:`INT`, :data:`STR`, :data:`BYTES`, :func:`value` (any
+nested value, optionally required to decode to given types),
+:func:`tuple_of` and :func:`pair`.  Compact frame kind ids are
+declared the same way, beside the ``KIND_*`` constants, with
+:func:`register_kind_ids`.  Tags and ids are wire format: append-only,
+and a collision is an import-time error.
 
-Decoding is strict — unknown tags, wrong arities, wrong scalar types,
-unhashable set members, over-deep nesting all raise :class:`WireError`.
+Decoding is strict — unknown tags, truncated bodies, values of the
+wrong type, unhashable set members, over-deep nesting all raise
+:class:`WireError`.
 This module is a leaf: it imports nothing else from ``repro``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import struct
 from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
@@ -59,79 +54,49 @@ def _require(condition: bool, message: str) -> None:
 
 
 # ------------------------------------------------------------------ dispatch
-# Four tables, one per codec path.  Encoders are keyed by exact type
-# (subclasses resolve through the MRO once and are cached), V1 decoders
-# by tag string, V2 decoders by tag byte.  Coders receive the depth of
-# their *children*, so nested values pass it straight down.
+# Encoders are keyed by exact type (subclasses resolve through the MRO
+# once and are cached), decoders by tag byte.  Coders receive the depth
+# of their *children*, so nested values pass it straight down.
 
 
 def _unknown_tag(body, pos: int, end: int, depth: int):
-    raise WireError(f"unknown V2 type tag {body[pos - 1]:#x}")
+    raise WireError(f"unknown type tag {body[pos - 1]:#x}")
 
 
-_V1_ENCODERS: Dict[type, Callable[[Any, int], Any]] = {}
-_V1_DECODERS: Dict[str, Callable[[Any, int], Any]] = {}
-_V2_ENCODERS: Dict[type, Callable[[bytearray, Any, int], None]] = {}
-_V2_DECODERS: List[Callable[[Any, int, int, int], Tuple[Any, int]]] = [_unknown_tag] * 256
+_ENCODERS: Dict[type, Callable[[bytearray, Any, int], None]] = {}
+_DECODERS: List[Callable[[Any, int, int, int], Tuple[Any, int]]] = [_unknown_tag] * 256
 
 
-def _inherited(table: Dict[type, Callable], cls: type) -> Callable:
+def _inherited(cls: type) -> Callable:
     """The encoder of the nearest registered base class, cached for ``cls``."""
     for base in cls.__mro__[1:]:
-        encode = table.get(base)
+        encode = _ENCODERS.get(base)
         if encode is not None:
-            table[cls] = encode
+            _ENCODERS[cls] = encode
             return encode
     raise WireError(f"cannot encode {cls.__name__} for the wire")
 
 
-def encode_value(value: Any, _depth: int = 0) -> Any:
-    """Map a payload structure onto JSON-representable tagged values."""
-    if _depth > MAX_DEPTH:
-        raise WireError(f"payload nesting exceeds {MAX_DEPTH}")
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    cls = type(value)
-    encode = _V1_ENCODERS.get(cls) or _inherited(_V1_ENCODERS, cls)
-    return encode(value, _depth + 1)
-
-
-def decode_value(value: Any, _depth: int = 0) -> Any:
-    """Inverse of :func:`encode_value`; raises :class:`WireError` on garbage."""
-    if _depth > MAX_DEPTH:
-        raise WireError(f"payload nesting exceeds {MAX_DEPTH}")
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, list):
-        raise WireError("bare JSON arrays are not in the vocabulary (use a tag)")
-    _require(isinstance(value, dict) and len(value) == 1, "expected a single-key tag object")
-    tag, body = next(iter(value.items()))
-    decode = _V1_DECODERS.get(tag)
-    if decode is None:
-        raise WireError(f"unknown wire tag {tag!r}")
-    return decode(body, _depth + 1)
-
-
 def encode_value_v2(buf: bytearray, value: Any, depth: int) -> None:
-    """Append the V2 encoding of ``value`` to ``buf``."""
+    """Append the encoding of ``value`` to ``buf``."""
     if depth > MAX_DEPTH:
         raise WireError(f"payload nesting exceeds {MAX_DEPTH}")
     cls = type(value)
-    encode = _V2_ENCODERS.get(cls) or _inherited(_V2_ENCODERS, cls)
+    encode = _ENCODERS.get(cls) or _inherited(cls)
     encode(buf, value, depth + 1)
 
 
 def decode_value_v2(body, pos: int, end: int, depth: int) -> Tuple[Any, int]:
-    """Decode one V2 value at ``body[pos:end]``; returns ``(value, new_pos)``."""
+    """Decode one value at ``body[pos:end]``; returns ``(value, new_pos)``."""
     if depth > MAX_DEPTH:
         raise WireError(f"payload nesting exceeds {MAX_DEPTH}")
     if pos >= end:
         raise WireError("truncated value")
-    return _V2_DECODERS[body[pos]](body, pos + 1, end, depth + 1)
+    return _DECODERS[body[pos]](body, pos + 1, end, depth + 1)
 
 
 # ---------------------------------------------------------- binary primitives
-# Readers share the ``(body, pos, end, depth)`` shape of the V2 decoders
+# Readers share the ``(body, pos, end, depth)`` shape of the decoders
 # (depth unused) so they can serve as field readers without a wrapper.
 
 
@@ -197,10 +162,8 @@ def _read_count(body, pos: int, end: int) -> Tuple[int, int]:
 
 
 class Field(NamedTuple):
-    """One field kind: how it travels on each of the four codec paths."""
+    """One field kind: how it is written and read."""
 
-    to_json: Callable[[Any, int], Any]
-    from_json: Callable[[Any, int], Any]
     write: Callable[[bytearray, Any, int], None]
     read: Callable[[Any, int, int, int], Tuple[Any, int]]
 
@@ -233,24 +196,12 @@ def _write_bytes(buf: bytearray, item: Any, _depth: int = 0) -> None:
     buf += item
 
 
-def _hex(item: Any, _depth: int = 0) -> str:
-    _require(isinstance(item, bytes), f"expected bytes, got {type(item).__name__}")
-    return item.hex()
-
-
-def _unhex(body: Any, _depth: int = 0) -> bytes:
-    try:
-        return bytes.fromhex(_str(body))
-    except ValueError as exc:
-        raise WireError("bytes body is not valid hex") from exc
-
-
 #: Strict int (bools refused); arbitrary precision.
-INT = Field(_int, _int, _write_int, _read_int)
+INT = Field(_write_int, _read_int)
 #: Strict string.
-STR = Field(_str, _str, _write_str, read_str)
-#: Raw bytes (a hex string in V1).
-BYTES = Field(_hex, _unhex, _write_bytes, _read_bytes)
+STR = Field(_write_str, read_str)
+#: Raw bytes.
+BYTES = Field(_write_bytes, _read_bytes)
 
 
 def value(*types: type) -> Field:
@@ -260,14 +211,8 @@ def value(*types: type) -> Field:
     slot, so the receiver is where the shape is enforced.
     """
     if not types:
-        return Field(encode_value, decode_value, encode_value_v2, decode_value_v2)
+        return Field(encode_value_v2, decode_value_v2)
     wanted = " or ".join(t.__name__ for t in types)
-
-    def from_json(body: Any, depth: int) -> Any:
-        item = decode_value(body, depth)
-        if not isinstance(item, types):
-            raise WireError(f"expected {wanted}, got {type(item).__name__}")
-        return item
 
     def read(body, pos: int, end: int, depth: int) -> Tuple[Any, int]:
         item, pos = decode_value_v2(body, pos, end, depth)
@@ -275,30 +220,17 @@ def value(*types: type) -> Field:
             raise WireError(f"expected {wanted}, got {type(item).__name__}")
         return item, pos
 
-    return Field(encode_value, from_json, encode_value_v2, read)
+    return Field(encode_value_v2, read)
 
 
 VALUE = value()
 
 
 def tuple_of(item: Field) -> Field:
-    """A homogeneous tuple: a JSON list in V1, count + items in V2."""
-    item_to_json, item_from_json, item_write, item_read = item
+    """A homogeneous tuple: the count, then the items."""
+    item_write, item_read = item
     # Plain loops, here and in the class coders: on CPython 3.11 a
     # comprehension is one more function call per (small, hot) message.
-
-    def to_json(items: Any, depth: int) -> List[Any]:
-        out = []
-        for entry in items:
-            out.append(item_to_json(entry, depth))
-        return out
-
-    def from_json(body: Any, depth: int) -> Tuple[Any, ...]:
-        _require(isinstance(body, list), "expected a list")
-        out = []
-        for entry in body:
-            out.append(item_from_json(entry, depth))
-        return tuple(out)
 
     def write(buf: bytearray, items: Any, depth: int) -> None:
         write_uvarint(buf, len(items))
@@ -313,19 +245,11 @@ def tuple_of(item: Field) -> Field:
             items.append(entry)
         return tuple(items), pos
 
-    return Field(to_json, from_json, write, read)
+    return Field(write, read)
 
 
 def pair(first: Field, second: Field) -> Field:
-    """A 2-tuple: a two-element JSON list in V1, plain concatenation in V2."""
-
-    def to_json(entry: Any, depth: int) -> List[Any]:
-        _require(isinstance(entry, tuple) and len(entry) == 2, "expected a pair")
-        return [first.to_json(entry[0], depth), second.to_json(entry[1], depth)]
-
-    def from_json(body: Any, depth: int) -> Tuple[Any, Any]:
-        _require(isinstance(body, list) and len(body) == 2, "expected a pair")
-        return (first.from_json(body[0], depth), second.from_json(body[1], depth))
+    """A 2-tuple: its two fields back to back."""
 
     def write(buf: bytearray, entry: Any, depth: int) -> None:
         _require(isinstance(entry, tuple) and len(entry) == 2, "expected a pair")
@@ -337,7 +261,7 @@ def pair(first: Field, second: Field) -> Field:
         right, pos = second.read(body, pos, end, depth)
         return (left, right), pos
 
-    return Field(to_json, from_json, write, read)
+    return Field(write, read)
 
 
 # ----------------------------------------------------------- message registry
@@ -347,7 +271,6 @@ class Schema(NamedTuple):
     """What one registered message class declared."""
 
     tag: int
-    v1_tag: str
     fields: Dict[str, Field]
 
 
@@ -355,23 +278,20 @@ class Schema(NamedTuple):
 SCHEMAS: Dict[type, Schema] = {}
 
 
-def _file_coders(cls: type, tag: int, v1_tag: str, to_json, from_json, write, read) -> None:
-    if not 0 <= tag <= 0xFF or _V2_DECODERS[tag] is not _unknown_tag:
-        raise ValueError(f"V2 type tag {tag:#x} of {cls.__name__} is out of range or taken")
-    if v1_tag in _V1_DECODERS or cls in _V2_ENCODERS:
-        raise ValueError(f"{cls.__name__} or its V1 tag {v1_tag!r} is already registered")
-    _V1_ENCODERS[cls] = to_json
-    _V1_DECODERS[v1_tag] = from_json
-    _V2_ENCODERS[cls] = write
-    _V2_DECODERS[tag] = read
+def _file_coders(cls: type, tag: int, write, read) -> None:
+    if not 0 <= tag <= 0xFF or _DECODERS[tag] is not _unknown_tag:
+        raise ValueError(f"type tag {tag:#x} of {cls.__name__} is out of range or taken")
+    if cls in _ENCODERS:
+        raise ValueError(f"{cls.__name__} is already registered")
+    _ENCODERS[cls] = write
+    _DECODERS[tag] = read
 
 
-def wire_message(tag: int, v1_tag: str, /, **fields: Field) -> Callable[[type], type]:
-    """Class decorator: put a dataclass on the wire under ``tag``/``v1_tag``.
+def wire_message(tag: int, /, **fields: Field) -> Callable[[type], type]:
+    """Class decorator: put a dataclass on the wire under the type ``tag``.
 
     ``fields`` names every dataclass field, in declaration order, with
-    its kind.  The V2 body is the fields back to back; the V1 body is
-    the list of field encodings (a one-field class is its field, bare).
+    its kind.  The body is the fields back to back.
     """
 
     def decorate(cls: type) -> type:
@@ -379,39 +299,9 @@ def wire_message(tag: int, v1_tag: str, /, **fields: Field) -> Callable[[type], 
         if names != tuple(f.name for f in dataclasses.fields(cls)):
             raise TypeError(f"wire fields {names} do not match the fields of {cls.__name__}")
         kinds = tuple(fields.values())
-        arity = len(names)
         # (coder, field name) rows, zipped once here rather than per message.
-        json_plan = tuple((kind.to_json, name) for kind, name in zip(kinds, names))
         write_plan = tuple((kind.write, name) for kind, name in zip(kinds, names))
-        parsers = tuple(kind.from_json for kind in kinds)
         readers = tuple(kind.read for kind in kinds)
-        shape = f"{v1_tag} needs [{', '.join(names)}]"
-
-        if arity == 1:  # the V1 body of a one-field class is its field, bare
-            ((encode_only, name),) = json_plan
-            (parse_only,) = parsers
-
-            def to_json(message: Any, depth: int) -> Dict[str, Any]:
-                return {v1_tag: encode_only(getattr(message, name), depth)}
-
-            def from_json(body: Any, depth: int) -> Any:
-                return cls(parse_only(body, depth))
-
-        else:
-
-            def to_json(message: Any, depth: int) -> Dict[str, Any]:
-                parts = []
-                for encode, name in json_plan:
-                    parts.append(encode(getattr(message, name), depth))
-                return {v1_tag: parts}
-
-            def from_json(body: Any, depth: int) -> Any:
-                if not isinstance(body, list) or len(body) != arity:
-                    raise WireError(shape)
-                items = []
-                for parse, part in zip(parsers, body):
-                    items.append(parse(part, depth))
-                return cls(*items)
 
         def write(buf: bytearray, message: Any, depth: int) -> None:
             buf.append(tag)
@@ -425,20 +315,20 @@ def wire_message(tag: int, v1_tag: str, /, **fields: Field) -> Callable[[type], 
                 items.append(item)
             return cls(*items), pos
 
-        _file_coders(cls, tag, v1_tag, to_json, from_json, write, read)
-        SCHEMAS[cls] = Schema(tag, v1_tag, dict(fields))
+        _file_coders(cls, tag, write, read)
+        SCHEMAS[cls] = Schema(tag, dict(fields))
         return cls
 
     return decorate
 
 
-#: Compact one-byte frame kind ids of the V2 header (0 = kind string inline).
+#: Compact one-byte frame kind ids of the frame header (0 = kind string inline).
 KIND_IDS: Dict[str, int] = {}
 KIND_BY_ID: Dict[int, str] = {}
 
 
 def register_kind_ids(ids: Dict[str, int]) -> None:
-    """Give hot frame kinds a one-byte V2 id (append-only wire format)."""
+    """Give hot frame kinds a one-byte id (append-only wire format)."""
     for kind, kind_id in ids.items():
         if not 1 <= kind_id <= 0xFF or kind in KIND_IDS or kind_id in KIND_BY_ID:
             raise ValueError(f"kind id {kind_id} for {kind!r} is out of range or taken")
@@ -447,8 +337,7 @@ def register_kind_ids(ids: Dict[str, int]) -> None:
 
 
 # --------------------------------------------------------- builtin vocabulary
-# Tag bytes 0x00-0x0B.  JSON carries the scalars natively, so they only
-# have V2 coders; the containers reuse the field kinds above.
+# Tag bytes 0x00-0x0B.  The containers reuse the field kinds above.
 
 
 def _write_none(buf: bytearray, item: Any, depth: int) -> None:
@@ -485,21 +374,18 @@ def _write_tagged_bytes(buf: bytearray, item: Any, depth: int) -> None:
     _write_bytes(buf, item)
 
 
-_V2_ENCODERS.update({
+_ENCODERS.update({
     type(None): _write_none, bool: _write_bool, int: _write_tagged_int,
     float: _write_float, str: _write_tagged_str,
 })
-_V2_DECODERS[0x00] = lambda body, pos, end, depth: (None, pos)
-_V2_DECODERS[0x01] = lambda body, pos, end, depth: (True, pos)
-_V2_DECODERS[0x02] = lambda body, pos, end, depth: (False, pos)
-_V2_DECODERS[0x03] = _read_int
-_V2_DECODERS[0x04] = _read_float
-_V2_DECODERS[0x05] = read_str
+_DECODERS[0x00] = lambda body, pos, end, depth: (None, pos)
+_DECODERS[0x01] = lambda body, pos, end, depth: (True, pos)
+_DECODERS[0x02] = lambda body, pos, end, depth: (False, pos)
+_DECODERS[0x03] = _read_int
+_DECODERS[0x04] = _read_float
+_DECODERS[0x05] = read_str
 
-_file_coders(
-    bytes, 0x06, "__bytes__",
-    lambda item, depth: {"__bytes__": item.hex()}, _unhex, _write_tagged_bytes, _read_bytes,
-)
+_file_coders(bytes, 0x06, _write_tagged_bytes, _read_bytes)
 
 _ITEMS = tuple_of(VALUE)
 _ENTRIES = tuple_of(pair(VALUE, VALUE))
@@ -513,13 +399,7 @@ def _hashed(build: type, items: Tuple[Any, ...]) -> Any:
         raise WireError("unhashable set member or map key") from exc
 
 
-def _file_sequence(cls: type, tag: int, v1_tag: str) -> None:
-    def to_json(items: Any, depth: int) -> Dict[str, Any]:
-        return {v1_tag: _ITEMS.to_json(items, depth)}
-
-    def from_json(body: Any, depth: int) -> Any:
-        return cls(_ITEMS.from_json(body, depth))
-
+def _file_sequence(cls: type, tag: int) -> None:
     def write(buf: bytearray, items: Any, depth: int) -> None:
         buf.append(tag)
         _ITEMS.write(buf, items, depth)
@@ -528,19 +408,11 @@ def _file_sequence(cls: type, tag: int, v1_tag: str) -> None:
         items, pos = _ITEMS.read(body, pos, end, depth)
         return cls(items), pos
 
-    _file_coders(cls, tag, v1_tag, to_json, from_json, write, read)
+    _file_coders(cls, tag, write, read)
 
 
-def _file_set(cls: type, tag: int, v1_tag: str) -> None:
+def _file_set(cls: type, tag: int) -> None:
     """Sets travel sorted by their items' encodings: equal sets, equal bytes."""
-
-    def to_json(items: Any, depth: int) -> Dict[str, Any]:
-        encoded = _ITEMS.to_json(items, depth)
-        encoded.sort(key=lambda item: json.dumps(item, sort_keys=True))
-        return {v1_tag: encoded}
-
-    def from_json(body: Any, depth: int) -> Any:
-        return _hashed(cls, _ITEMS.from_json(body, depth))
 
     def write(buf: bytearray, items: Any, depth: int) -> None:
         parts = []
@@ -556,7 +428,7 @@ def _file_set(cls: type, tag: int, v1_tag: str) -> None:
         items, pos = _ITEMS.read(body, pos, end, depth)
         return _hashed(cls, items), pos
 
-    _file_coders(cls, tag, v1_tag, to_json, from_json, write, read)
+    _file_coders(cls, tag, write, read)
 
 
 def _write_map(buf: bytearray, mapping: Any, depth: int) -> None:
@@ -569,13 +441,8 @@ def _read_map(body, pos: int, end: int, depth: int) -> Tuple[Dict[Any, Any], int
     return _hashed(dict, entries), pos
 
 
-_file_sequence(tuple, 0x07, "__tuple__")
-_file_sequence(list, 0x08, "__list__")
-_file_set(set, 0x09, "__set__")
-_file_set(frozenset, 0x0A, "__frozenset__")
-_file_coders(
-    dict, 0x0B, "__map__",
-    lambda mapping, depth: {"__map__": _ENTRIES.to_json(mapping.items(), depth)},
-    lambda body, depth: _hashed(dict, _ENTRIES.from_json(body, depth)),
-    _write_map, _read_map,
-)
+_file_sequence(tuple, 0x07)
+_file_sequence(list, 0x08)
+_file_set(set, 0x09)
+_file_set(frozenset, 0x0A)
+_file_coders(dict, 0x0B, _write_map, _read_map)

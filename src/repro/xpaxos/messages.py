@@ -34,7 +34,7 @@ register_kind_ids({
 _SNAPSHOT = value(tuple, type(None))
 
 
-@wire_message(0x12, "__xreq__", client=INT, sequence=INT, op=value(tuple))
+@wire_message(0x12, client=INT, sequence=INT, op=value(tuple))
 @dataclass(frozen=True)
 class ClientRequest:
     """One client operation (op is a small tuple, e.g. ('put', k, v))."""
@@ -144,7 +144,7 @@ def votes_decide(
     return len(signers) >= selector.q
 
 
-@wire_message(0x13, "__xprep__", view=INT, slot=INT, signed_requests=tuple_of(VALUE))
+@wire_message(0x13, view=INT, slot=INT, signed_requests=tuple_of(VALUE))
 @dataclass(frozen=True)
 class PreparePayload(Proposal):
     """``PREPARE(view, slot, signed_requests)`` from the view's leader."""
@@ -156,7 +156,7 @@ class PreparePayload(Proposal):
     signed_requests: Tuple[SignedMessage, ...]  # client-signed ClientRequests
 
 
-@wire_message(0x14, "__xcommit__", view=INT, slot=INT, prepare=VALUE)
+@wire_message(0x14, view=INT, slot=INT, prepare=VALUE)
 @dataclass(frozen=True)
 class CommitPayload:
     """``COMMIT(view, slot, prepare)`` — carries the signed PREPARE."""
@@ -171,7 +171,7 @@ class CommitPayload:
         return ("commit", self.view, self.slot, canon(self.prepare))
 
 
-@wire_message(0x15, "__xcert__", prepare=VALUE, commits=tuple_of(VALUE))
+@wire_message(0x15, prepare=VALUE, commits=tuple_of(VALUE))
 @dataclass(frozen=True)
 class CommitCertificate:
     """Proof that one request committed at one (view, slot).
@@ -235,7 +235,7 @@ def certificate_is_valid(
     return votes_decide(certificate.commits, matches, body.view, selector, verify)
 
 
-@wire_message(0x16, "__xckpt__", view=INT, slot_count=INT, state_digest=STR)
+@wire_message(0x16, view=INT, slot_count=INT, state_digest=STR)
 @dataclass(frozen=True)
 class CheckpointPayload:
     """One member's vote that the state at ``slot_count`` digests to
@@ -249,7 +249,7 @@ class CheckpointPayload:
         return ("checkpoint", self.view, self.slot_count, self.state_digest)
 
 
-@wire_message(0x17, "__xckptcert__", votes=tuple_of(VALUE))
+@wire_message(0x17, votes=tuple_of(VALUE))
 @dataclass(frozen=True)
 class CheckpointCertificate:
     """Signed CHECKPOINT votes of ``q`` members of one view's quorum.
@@ -293,7 +293,7 @@ def checkpoint_certificate_is_valid(
 
 
 @wire_message(
-    0x18, "__xvc__",
+    0x18,
     new_view=INT, committed=tuple_of(VALUE), prepared=tuple_of(pair(INT, VALUE)),
     checkpoint=VALUE, snapshot=_SNAPSHOT,
 )
@@ -326,7 +326,7 @@ class ViewChangePayload:
 
 
 @wire_message(
-    0x19, "__xnv__", view=INT, committed=tuple_of(VALUE), checkpoint=VALUE, snapshot=_SNAPSHOT
+    0x19, view=INT, committed=tuple_of(VALUE), checkpoint=VALUE, snapshot=_SNAPSHOT
 )
 @dataclass(frozen=True)
 class NewViewPayload:
@@ -348,7 +348,7 @@ class NewViewPayload:
 
 
 @wire_message(
-    0x1A, "__xreply__", client=INT, sequence=INT, result=VALUE, replica=INT, view=INT
+    0x1A, client=INT, sequence=INT, result=VALUE, replica=INT, view=INT
 )
 @dataclass(frozen=True)
 class ReplyPayload:

@@ -8,10 +8,10 @@ Three layers of coverage:
   with *any* member byte kills every frame in the envelope, and the
   stream decoder counts the rejection instead of delivering.
 - **End-to-end links** (marked ``net``) — real loopback TCP between two
-  :class:`PeerManager`\\ s: batched V2 sends deliver everything, mixed
-  V1/V2 managers interoperate by settling on V1, a wrong link key drops
-  whole batches, and queue overflow still degrades into counted
-  omission faults, exactly the failure mode the protocol tolerates.
+  :class:`PeerManager`\\ s: batched sends deliver everything, a wrong
+  link key drops whole batches, and queue overflow still degrades into
+  counted omission faults, exactly the failure mode the protocol
+  tolerates.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from repro.net.batch import (
 )
 from repro.net.peer import PeerManager, ReconnectPolicy
 from repro.net.wire import (
-    WIRE_V1,
-    WIRE_V2,
     BatchAuthError,
     FrameDecoder,
     WireError,
@@ -49,7 +47,7 @@ _LEN_SIZE = 4
 
 def bodies_v2(count: int, src: int = 1):
     return [
-        encode_frame_body("qs.update", UpdatePayload(row=(i, 0, 1)), src, version=WIRE_V2)
+        encode_frame_body("qs.update", UpdatePayload(row=(i, 0, 1)), src)
         for i in range(count)
     ]
 
@@ -215,18 +213,11 @@ class TestBatchEnvelope:
         frames = decoder.feed(encode_batch(members, src=1, auth=BatchAuthenticator(registry, 1)))
         assert len(frames) == 3 and decoder.batches_decoded == 1
 
-    def test_v1_only_decoder_counts_batch_as_malformed(self):
-        decoder = FrameDecoder(accept_versions=(WIRE_V1,))
-        assert decoder.feed(encode_batch(bodies_v2(2), src=1)) == []
-        assert decoder.malformed == 1
-
 
 # ------------------------------------------------------------ live loopback
 
 
 async def _linked_pair(
-    sender_version=None,
-    receiver_version=None,
     sender_auth=None,
     receiver_auth=None,
     expect: int = 0,
@@ -241,14 +232,8 @@ async def _linked_pair(
         if len(received) >= expect:
             done.set()
 
-    sender = PeerManager(
-        1, rng_seed=1, wire_version=sender_version, batch_auth=sender_auth,
-        **sender_kwargs,
-    )
-    receiver = PeerManager(
-        2, rng_seed=2, ingress=ingress, wire_version=receiver_version,
-        batch_auth=receiver_auth,
-    )
+    sender = PeerManager(1, rng_seed=1, batch_auth=sender_auth, **sender_kwargs)
+    receiver = PeerManager(2, rng_seed=2, ingress=ingress, batch_auth=receiver_auth)
     addr = await receiver.start_server()
     sender.addresses = {2: addr}
     return sender, receiver, received, done
@@ -259,7 +244,6 @@ def test_batched_v2_send_delivers_everything():
     async def scenario():
         registry = KeyRegistry(2)
         sender, receiver, received, done = await _linked_pair(
-            sender_version=WIRE_V2, receiver_version=WIRE_V2,
             sender_auth=BatchAuthenticator(registry, 1),
             receiver_auth=BatchAuthenticator(registry, 2),
             expect=200,
@@ -269,14 +253,13 @@ def test_batched_v2_send_delivers_everything():
         for _ in range(200):
             assert sender.send(2, KIND_UPDATE, message)
         await asyncio.wait_for(done.wait(), timeout=10.0)
-        stats = (sender.stats, receiver.stats, sender.connection(2).negotiated_version)
+        stats = (sender.stats, receiver.stats)
         await sender.close()
         await receiver.close()
         return received, stats
 
-    received, (sent, recv, version) = asyncio.run(scenario())
+    received, (sent, recv) = asyncio.run(scenario())
     assert len(received) == 200
-    assert version == WIRE_V2
     assert sent.batches_sent >= 1  # coalescing actually happened
     assert recv.batches_received >= 1
     assert recv.batches_rejected == 0 and recv.frames_malformed == 0
@@ -287,9 +270,7 @@ def test_small_sends_flush_on_time_budget():
     """Frames far below every size budget must still leave within max_delay."""
 
     async def scenario():
-        sender, receiver, received, done = await _linked_pair(
-            sender_version=WIRE_V2, receiver_version=WIRE_V2, expect=3,
-        )
+        sender, receiver, received, done = await _linked_pair(expect=3)
         await sender.warm_up(timeout=5.0)
         for i in range(3):
             sender.send(2, "qs.update", (i,))
@@ -302,39 +283,10 @@ def test_small_sends_flush_on_time_budget():
 
 
 @pytest.mark.net
-@pytest.mark.parametrize(
-    "sender_version,receiver_version",
-    [(WIRE_V2, WIRE_V1), (WIRE_V1, WIRE_V2)],
-)
-def test_mixed_version_managers_settle_on_v1(sender_version, receiver_version):
-    async def scenario():
-        sender, receiver, received, done = await _linked_pair(
-            sender_version=sender_version, receiver_version=receiver_version,
-            expect=50,
-        )
-        await sender.warm_up(timeout=5.0)
-        for i in range(50):
-            assert sender.send(2, "qs.update", (i, i))
-        await asyncio.wait_for(done.wait(), timeout=10.0)
-        negotiated = sender.connection(2).negotiated_version
-        stats = receiver.stats
-        await sender.close()
-        await receiver.close()
-        return received, negotiated, stats
-
-    received, negotiated, stats = asyncio.run(scenario())
-    assert [payload for _, payload, _ in received] == [(i, i) for i in range(50)]
-    assert negotiated == WIRE_V1  # the pair's highest common codec
-    assert stats.frames_malformed == 0
-    assert stats.batches_received == 0  # V1 links never mint envelopes
-
-
-@pytest.mark.net
 def test_wrong_link_key_drops_whole_batches_as_omissions():
     async def scenario():
         registry = KeyRegistry(2)
         sender, receiver, received, done = await _linked_pair(
-            sender_version=WIRE_V2, receiver_version=WIRE_V2,
             # Sender MACs with a key the receiver's registry disagrees on.
             sender_auth=BatchAuthenticator(KeyRegistry(2, system_nonce="evil"), 1),
             receiver_auth=BatchAuthenticator(registry, 2),

@@ -74,32 +74,6 @@ def test_sim_net_parity_with_kills_and_recovery(tmp_path):
     assert result.final_quorum() == frozenset({3, 4, 5, 6, 7})
 
 
-def test_mixed_wire_version_cluster_stabilizes_same_quorum(tmp_path):
-    """E27 interop acceptance: V1 and V2 nodes in one cluster.
-
-    Nodes 1 and 4 speak only WIRE_V1 while the rest run WIRE_V2; every
-    V2 dialer downgrades per-link via the hello/ack handshake.  The
-    mixed cluster must stabilize to the same final quorum the simulator
-    selects for the same schedule — codec per link is invisible to the
-    protocol.
-    """
-    schedule = ParitySchedule(
-        n=5, f=1, kills=((2, 5.0),), duration_periods=30.0
-    )
-    sim = run_sim_schedule(schedule)
-    net, result = run_net_schedule(
-        schedule,
-        run_dir=tmp_path / "net",
-        wire_version=2,
-        wire_versions={1: 1, 4: 1},
-    )
-
-    problems = parity_problems(sim, net, schedule)
-    assert problems == [], "\n".join(problems)
-    assert result.agreement(), result.summary()
-    assert 2 not in (result.final_quorum() or set())
-
-
 class TestConfigValidation:
     def test_recovery_requires_host_mode(self):
         config = ClusterConfig(

@@ -1,7 +1,7 @@
-"""IBFT payloads over both wire codecs: type-identical round-trips.
+"""IBFT payloads over the wire: type-identical round-trips.
 
-The IBFT backend's message kinds must survive V1 (JSON) and V2
-(binary) framing with enough type fidelity that protocol signatures
+The IBFT backend's message kinds must survive framing with enough type
+fidelity that protocol signatures
 still verify on the decoded objects — votes stay digest-only strings,
 certificates keep their nested signed messages, and round changes carry
 the shared state-transfer payloads (checkpoint plus certified suffix)
@@ -17,7 +17,6 @@ import pytest
 from repro.crypto.authenticator import Authenticator
 from repro.crypto.keys import KeyRegistry
 from repro.net.wire import (
-    WIRE_V1,
     WIRE_V2,
     WireError,
     decode_frame_body,
@@ -39,6 +38,7 @@ from repro.xpaxos.messages import (
     ClientRequest,
     ViewChangePayload,
 )
+from wire_golden import hand_built
 
 N = 5
 
@@ -85,7 +85,7 @@ def _roundtrip(kind, payload, src, version):
     return got_payload
 
 
-@pytest.mark.parametrize("version", [WIRE_V1, WIRE_V2])
+@pytest.mark.parametrize("version", [WIRE_V2])
 class TestIbftRoundTrips:
     def test_preprepare_with_request_batch(self, auths, version):
         signed = _signed_preprepare(auths, round=3, slot=17, batch=3)
@@ -180,23 +180,21 @@ class TestIbftRoundTrips:
 
 
 class TestStrictDecoding:
-    def test_v1_vote_digest_must_be_string(self):
-        import json
-
-        body = json.dumps(
-            {"v": 1, "k": "ibft.prepare", "s": 3, "p": {"__iprep__": [2, 9, 7]}}
-        ).encode()
+    def test_vote_digest_must_be_string(self):
+        # PREPARE tag, round 2, slot 9, then a digest that is not UTF-8.
+        body = hand_built("ibft.prepare", 3, [0x1C, 0x04, 0x12, 0x02, 0xC3, 0x28])
         with pytest.raises(WireError):
             decode_frame_body(body)
+        good = hand_built("ibft.prepare", 3, [0x1C, 0x04, 0x12, 0x02, 0x61, 0x62])
+        assert decode_frame_body(good)[1] == IbftPreparePayload(2, 9, "ab")
 
-    def test_v1_preprepare_wrong_arity_raises(self):
-        import json
-
-        body = json.dumps(
-            {"v": 1, "k": "ibft.preprepare", "s": 1, "p": {"__ipp__": [0, 0]}}
-        ).encode()
+    def test_preprepare_wrong_arity_raises(self):
+        # PRE-PREPARE tag, round 0, slot 0, and no request batch.
+        body = hand_built("ibft.preprepare", 1, [0x1B, 0x00, 0x00])
         with pytest.raises(WireError):
             decode_frame_body(body)
+        good = hand_built("ibft.preprepare", 1, [0x1B, 0x00, 0x00, 0x00])
+        assert decode_frame_body(good)[1] == PrePreparePayload(0, 0, ())
 
     def test_v2_truncated_round_change_raises(self, auths=None):
         registry = KeyRegistry(N + 2)

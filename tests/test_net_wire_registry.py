@@ -2,7 +2,7 @@
 
 A message kind costs one ``@wire_message`` beside its dataclass — no
 edit to ``repro.net.wire``.  The throw-away class below proves it end to
-end (V1, V2, stream decoder, batch envelope); the walk over
+end (frame codec, stream decoder, batch envelope); the walk over
 ``SCHEMAS`` keeps every in-tree registration honest.
 """
 
@@ -11,14 +11,12 @@ from __future__ import annotations
 import collections
 import dataclasses
 import enum
-import json
 from typing import Any, Tuple
 
 import pytest
 
 from repro.core.messages import UpdatePayload
 from repro.net.wire import (
-    WIRE_V1,
     WIRE_V2,
     FrameDecoder,
     WireError,
@@ -42,7 +40,7 @@ from repro.util.wire_schema import (
 
 
 @wire_message(
-    0xF0, "__test_probe__",
+    0xF0,
     epoch=INT, label=STR, hops=tuple_of(pair(INT, STR)), body=value(tuple, type(None)), extra=VALUE,
 )
 @dataclasses.dataclass(frozen=True)
@@ -58,7 +56,7 @@ PROBE = Probe(epoch=-(2 ** 70), label="né", hops=((1, "a"), (2, "b")), body=("x
               extra=UpdatePayload(row=(0, 1)))
 
 
-@pytest.mark.parametrize("version", [WIRE_V1, WIRE_V2])
+@pytest.mark.parametrize("version", [WIRE_V2])
 class TestOneRegistrationIsEnough:
     def test_frame_round_trip(self, version):
         body = encode_frame_body("test.probe", PROBE, 3, version=version)
@@ -110,25 +108,18 @@ class TestOneRegistrationIsEnough:
         assert [type(item) for item in got] == [int, tuple, dict, Probe]
 
 
-def test_v1_wrong_arity_names_the_fields():
-    body = json.dumps({"v": 1, "k": "k", "s": 1, "p": {"__test_probe__": [1, "x"]}}).encode()
-    with pytest.raises(WireError, match="epoch, label, hops, body, extra"):
-        decode_frame_body(body)
-
-
 def test_unregistered_class_is_refused():
     @dataclasses.dataclass(frozen=True)
     class Stranger:
         x: int
 
-    for version in (WIRE_V1, WIRE_V2):
-        with pytest.raises(WireError):
-            encode_frame("k", Stranger(1), 1, version=version)
+    with pytest.raises(WireError):
+        encode_frame("k", Stranger(1), 1)
 
 
 class TestRegistrationErrorsAreImportTimeErrors:
-    def declare(self, tag, v1_tag, **fields):
-        @wire_message(tag, v1_tag, **fields)
+    def declare(self, tag, **fields):
+        @wire_message(tag, **fields)
         @dataclasses.dataclass(frozen=True)
         class Late:
             x: int
@@ -137,19 +128,15 @@ class TestRegistrationErrorsAreImportTimeErrors:
 
     def test_taken_tag_byte(self):
         with pytest.raises(ValueError):
-            self.declare(0x0E, "__late__", x=INT)  # UpdatePayload's
+            self.declare(0x0E, x=INT)  # UpdatePayload's
         with pytest.raises(ValueError):
-            self.declare(0x07, "__late__", x=INT)  # tuple's
-
-    def test_taken_v1_tag(self):
-        with pytest.raises(ValueError):
-            self.declare(0xF1, "__update__", x=INT)
+            self.declare(0x07, x=INT)  # tuple's
 
     def test_fields_must_match_the_dataclass(self):
         with pytest.raises(TypeError):
-            self.declare(0xF1, "__late__", y=INT)
+            self.declare(0xF1, y=INT)
         with pytest.raises(TypeError):
-            self.declare(0xF1, "__late__")
+            self.declare(0xF1)
 
     def test_taken_kind_or_id(self):
         with pytest.raises(ValueError):
@@ -161,14 +148,11 @@ class TestRegistrationErrorsAreImportTimeErrors:
 
 
 def test_registry_walk():
-    """Every registration carries a unique tag pair and names real fields."""
+    """Every registration carries a unique tag byte and names real fields."""
     assert len(SCHEMAS) >= 19
     tags = [schema.tag for schema in SCHEMAS.values()]
-    v1_tags = [schema.v1_tag for schema in SCHEMAS.values()]
     assert len(set(tags)) == len(tags)
-    assert len(set(v1_tags)) == len(v1_tags)
     for cls, schema in SCHEMAS.items():
         assert 0x0C <= schema.tag <= 0xFF, f"{cls.__name__} collides with the builtin tags"
-        assert schema.v1_tag.startswith("__") and schema.v1_tag.endswith("__")
         declared = [field.name for field in dataclasses.fields(cls)]
         assert list(schema.fields) == declared, cls.__name__

@@ -1,7 +1,7 @@
-"""XPaxos payloads over both wire codecs: type-identical round-trips.
+"""XPaxos payloads over the wire: type-identical round-trips.
 
 The service layer sends client requests and replies across real sockets,
-and view changes ship certificates — all of it must survive both codecs
+and view changes ship certificates — all of it must survive the codec
 with enough type fidelity that protocol signatures still verify on the
 decoded objects.
 
@@ -15,7 +15,6 @@ import pytest
 from repro.crypto.authenticator import Authenticator
 from repro.crypto.keys import KeyRegistry
 from repro.net.wire import (
-    WIRE_V1,
     WIRE_V2,
     WireError,
     decode_frame_body,
@@ -37,6 +36,7 @@ from repro.xpaxos.messages import (
     ReplyPayload,
     ViewChangePayload,
 )
+from wire_golden import hand_built
 
 N = 5
 
@@ -75,7 +75,7 @@ def _roundtrip(kind, payload, src, version):
     return got_payload
 
 
-@pytest.mark.parametrize("version", [WIRE_V1, WIRE_V2])
+@pytest.mark.parametrize("version", [WIRE_V2])
 class TestXPaxosRoundTrips:
     def test_client_request_signature_survives(self, auths, version):
         signed = _signed_request(auths, op=("cas", "key", None, ("v", 2)))
@@ -188,28 +188,21 @@ class TestXPaxosRoundTrips:
 
 
 class TestStrictDecoding:
-    def test_v1_request_op_must_be_tuple(self):
-        import json
-
-        body = json.dumps(
-            {"v": 1, "k": "xp.request", "s": 6, "p": {"__xreq__": [6, 0, {"__list__": []}]}}
-        ).encode()
+    def test_request_op_must_be_tuple(self):
+        # REQUEST tag, client 6, sequence 0, then an empty *list* op.
+        body = hand_built("xp.request", 6, [0x12, 0x0C, 0x00, 0x08, 0x00])
         with pytest.raises(WireError):
             decode_frame_body(body)
+        good = hand_built("xp.request", 6, [0x12, 0x0C, 0x00, 0x07, 0x00])
+        assert decode_frame_body(good)[1] == ClientRequest(6, 0, ())
 
-    def test_v1_snapshot_must_be_tuple_or_none(self):
-        import json
-
-        body = json.dumps(
-            {
-                "v": 1,
-                "k": "xp.viewchange",
-                "s": 2,
-                "p": {"__xvc__": [1, [], [], None, {"__list__": []}]},
-            }
-        ).encode()
+    def test_snapshot_must_be_tuple_or_none(self):
+        # VIEW-CHANGE tag, view 1, no history, no checkpoint, list snapshot.
+        body = hand_built("xp.viewchange", 2, [0x18, 0x02, 0x00, 0x00, 0x00, 0x08, 0x00])
         with pytest.raises(WireError):
             decode_frame_body(body)
+        good = hand_built("xp.viewchange", 2, [0x18, 0x02, 0x00, 0x00, 0x00, 0x07, 0x00])
+        assert decode_frame_body(good)[1] == ViewChangePayload(1, (), (), None, ())
 
     def test_v2_truncated_reply_raises(self, auths=None):
         registry = KeyRegistry(3)

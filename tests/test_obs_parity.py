@@ -71,45 +71,3 @@ def test_metric_parity_sim_vs_net():
         events = [json.loads(line) for line in stream.read_text().splitlines()]
         assert any(e.get("event") == "metrics" for e in events)
         assert (ARTIFACT_DIR / f"node_{pid}.prom").exists()
-
-
-def test_wire_v2_delivers_the_same_protocol_as_v1(tmp_path):
-    """The E27 codec/batching guard on METRIC_PARITY_SCHEDULE.
-
-    The binary codec and batch envelopes change *bytes on sockets*, not
-    protocol behaviour: a WIRE_V1 cluster and a WIRE_V2 cluster running
-    the same schedule must export identical protocol-logic metrics, and
-    total frames delivered must match up to wall-clock scheduling noise
-    (the runs are timer-driven, so counts are near-equal, not exact).
-    """
-    schedule = METRIC_PARITY_SCHEDULE
-    v1_snapshots, v1_result = run_net_metrics(
-        schedule, run_dir=tmp_path / "v1", wire_version=1
-    )
-    v2_snapshots, v2_result = run_net_metrics(
-        schedule, run_dir=tmp_path / "v2", wire_version=2
-    )
-    assert v1_result.correct_pids() == v2_result.correct_pids() == [1, 2, 3, 4]
-
-    delivered = {1: 0, 2: 0}
-    for pid in (1, 2, 3, 4):
-        # Protocol-logic counters: exact equality across codecs.
-        for name in PARITY_METRIC_NAMES:
-            v1_value = metric_value(v1_snapshots[pid], name, pid=pid)
-            v2_value = metric_value(v2_snapshots[pid], name, pid=pid)
-            assert v1_value == v2_value, f"{name}{{pid={pid}}}: {v1_value} != {v2_value}"
-        # Codec bookkeeping: each run reports the codec it actually ran.
-        assert metric_value(v1_snapshots[pid], "net_wire_version", pid=pid) == 1
-        assert metric_value(v2_snapshots[pid], "net_wire_version", pid=pid) == 2
-        delivered[1] += metric_value(
-            v1_snapshots[pid], "peer_frames_received_total", pid=pid
-        ) or 0
-        delivered[2] += metric_value(
-            v2_snapshots[pid], "peer_frames_received_total", pid=pid
-        ) or 0
-
-    # Batching loses nothing: the same timer-driven traffic arrives under
-    # both codecs (wall-clock noise bounds the ratio, not equality).
-    assert delivered[1] > 0 and delivered[2] > 0
-    ratio = delivered[2] / delivered[1]
-    assert 0.5 < ratio < 2.0, f"frames delivered diverged: {delivered}"

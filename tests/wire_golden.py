@@ -1,16 +1,16 @@
-"""Golden byte vectors for both wire codecs (fixed keys, no randomness).
+"""Golden byte vectors for the wire codec (fixed keys, no randomness).
 
 ``build_cases()`` constructs one payload per vocabulary corner — every
 registered message class, every compact kind id, empty tuples, absent
 checkpoints, negative and >64-bit ints, nested certificates, a
 60-request PREPARE/COMMIT — and ``python tests/wire_golden.py`` freezes
-their V1 and V2 frame bodies into ``tests/data/wire_golden.json``.
+their frame bodies into ``tests/data/wire_golden.json``.
 ``tests/test_net_wire_golden.py`` rebuilds the same payloads and
 requires today's encoders to reproduce those bytes exactly.
 
 Only the public ``repro.net.wire`` surface is used, so the generator
-runs unchanged on any commit: tag bytes, V1 tag strings and kind ids
-are read off the encoded bytes, never out of codec internals.
+runs unchanged on any commit: tag bytes and kind ids are read off the
+encoded bytes, never out of codec internals.
 Regenerate only when a kind or class is *added* (the file is
 append-only in spirit: a changed existing vector is a wire break).
 """
@@ -232,6 +232,11 @@ def build_cases() -> List[Tuple[str, str, Any, int]]:
     ]
 
 
+def hand_built(kind: str, src: int, value) -> bytes:
+    """A frame body written byte by byte: the kind string inline, then ``value``."""
+    return bytes([0x02, 0x00, 0x00, src, len(kind)]) + kind.encode() + bytes(value)
+
+
 def walk(value: Any):
     """Every node of a payload tree, dataclass fields included."""
     yield value
@@ -280,28 +285,24 @@ def message_classes(cases) -> Dict[str, Any]:
 
 
 def snapshot_codec() -> Dict[str, Any]:
-    """Encode every case with both codecs; read ids and tags off the bytes."""
-    from repro.net.wire import WIRE_V1, WIRE_V2, encode_frame_body
+    """Encode every case; read ids and tags off the bytes."""
+    from repro.net.wire import encode_frame_body
 
     cases = build_cases()
     out: Dict[str, Any] = {"cases": {}, "kind_ids": {}, "tags": {}}
     for name, kind, payload, src in cases:
-        v1 = encode_frame_body(kind, payload, src, version=WIRE_V1)
-        v2 = encode_frame_body(kind, payload, src, version=WIRE_V2)
+        v2 = encode_frame_body(kind, payload, src)
         out["cases"][name] = {
             "kind": kind,
             "src": src,
-            "v1": v1.decode("ascii"),
             "v2": base64.b64encode(v2).decode("ascii"),
         }
         if v2[1]:  # header: magic, kind id (0 = kind string inline), src (u16)
             out["kind_ids"][kind] = v2[1]
     for class_name, instance in sorted(message_classes(cases).items()):
-        v1 = json.loads(encode_frame_body("k", instance, 1, version=WIRE_V1))
-        v2 = encode_frame_body("k", instance, 1, version=WIRE_V2)
-        (v1_tag,) = v1["p"]
+        v2 = encode_frame_body("k", instance, 1)
         # inline-kind header: magic, 0, src (u16), len("k"), "k", then the value
-        out["tags"][class_name] = {"v1": v1_tag, "v2": v2[6]}
+        out["tags"][class_name] = {"v2": v2[6]}
     return out
 
 
