@@ -38,13 +38,13 @@ from repro.analysis.report import Table  # noqa: E402
 from repro.core.messages import KIND_UPDATE, UpdatePayload  # noqa: E402
 from repro.crypto.authenticator import Authenticator  # noqa: E402
 from repro.crypto.keys import KeyRegistry  # noqa: E402
+from repro.deployment import Deployment, mount  # noqa: E402
 from repro.net.batch import BatchAuthenticator  # noqa: E402
 from repro.net.host import NetHost  # noqa: E402
 from repro.net.loop import uvloop_active  # noqa: E402
 from repro.net.peer import PeerManager  # noqa: E402
 from repro.net.timers import NetTimerService  # noqa: E402
 from repro.net.wire import WIRE_V2  # noqa: E402
-from repro.sim.worlds import attach_qs_stack  # noqa: E402
 
 from benchmarks._reporting import emit  # noqa: E402
 
@@ -128,9 +128,9 @@ async def _mesh(n: int, f: int, heartbeat: float, timeout: float):
             NetTimerService(loop),
         )
         hosts[pid] = host
-        modules[pid] = attach_qs_stack(
-            host, n, f, heartbeat_period=heartbeat, base_timeout=timeout
-        )
+        modules[pid] = mount(host, Deployment(
+            n=n, f=f, heartbeat_period=heartbeat, base_timeout=timeout
+        )).module
     for pid in range(1, n + 1):
         await managers[pid].warm_up(timeout=5.0)
     for host in hosts.values():

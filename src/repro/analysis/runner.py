@@ -20,9 +20,8 @@ from repro.failures.strategies import (
     LowerBoundStrategy,
     RandomSuspicionStrategy,
 )
-from repro.fd.detector import FailureDetector
-from repro.fd.heartbeat import HeartbeatModule
-from repro.sim.runtime import Simulation, SimulationConfig
+from repro.sim.runtime import Simulation
+from repro.sim.worlds import build_qs_world
 from repro.util.errors import ConfigurationError
 from repro.protocol.system import ProtocolSystem, build_backend_system
 from repro.xpaxos.system import build_system
@@ -44,26 +43,6 @@ class QsRunResult:
     final_quorum: Optional[FrozenSet[int]] = None
     final_leader: Optional[int] = None
     per_process_changes: Dict[int, int] = field(default_factory=dict)
-
-
-def _build_qs_world(
-    n: int,
-    f: int,
-    seed: int,
-    follower_mode: bool,
-    heartbeat_period: float = 2.0,
-) -> Tuple[Simulation, Dict[int, QuorumSelectionModule]]:
-    sim = Simulation(SimulationConfig(n=n, seed=seed, gst=0.0, delta=1.0))
-    modules: Dict[int, QuorumSelectionModule] = {}
-    for pid in sim.pids:
-        host = sim.host(pid)
-        FailureDetector(host)
-        host.add_module(HeartbeatModule(host, n=n, period=heartbeat_period))
-        if follower_mode:
-            modules[pid] = host.add_module(FollowerSelectionModule(host, n=n, f=f))
-        else:
-            modules[pid] = host.add_module(QuorumSelectionModule(host, n=n, f=f))
-    return sim, modules
 
 
 def _summarize(
@@ -112,7 +91,7 @@ def run_thm4_adversary(
     """
     faulty_set = set(faulty) if faulty is not None else set(range(1, f + 1))
     target_pair = targets if targets is not None else (f + 1, f + 2)
-    sim, modules = _build_qs_world(n, f, seed, follower_mode=False)
+    sim, modules = build_qs_world(n, f, seed)
     strategy = LowerBoundStrategy(sim, modules, faulty=faulty_set, targets=target_pair)
     strategy.install()
     sim.run_until(duration)
@@ -136,7 +115,7 @@ def run_random_adversary(
     stabilization (Termination/Agreement under a finite-failure run).
     """
     faulty_set = set(range(1, f + 1))
-    sim, modules = _build_qs_world(n, f, seed, follower_mode=False)
+    sim, modules = build_qs_world(n, f, seed)
     strategy = RandomSuspicionStrategy(
         sim, modules, faulty=faulty_set, rate=rate, stop_at=duration * 0.6
     )
@@ -162,7 +141,7 @@ def run_follower_worst_case(
     """
     n_val = n if n is not None else 3 * f + 1
     faulty_set = set(range(1, f + 1))
-    sim, modules = _build_qs_world(n_val, f, seed, follower_mode=True)
+    sim, modules = build_qs_world(n_val, f, seed, selector="fs")
     fired: List[Tuple[float, int, int]] = []
     state = {"last_edge": None}
 

@@ -233,24 +233,32 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _cluster_config(args: argparse.Namespace, **launch):
+    """The cluster the flags ``cluster`` and ``metrics net`` share describe."""
+    from repro.net.cluster import ClusterConfig, parse_schedule
+
+    return ClusterConfig(
+        n=args.n,
+        f=args.f,
+        duration=args.duration,
+        kills=parse_schedule(args.kill, "kill"),
+        recovers=parse_schedule(args.recover, "recover"),
+        selector=args.selector,
+        heartbeat_period=args.heartbeat,
+        base_timeout=args.timeout,
+        run_dir=args.run_dir,
+        uvloop=args.uvloop,
+        **launch,
+    )
+
+
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.net.cluster import ClusterConfig, parse_schedule, run_cluster
+    from repro.net.cluster import run_cluster
     from repro.util.errors import ConfigurationError
 
     try:
-        config = ClusterConfig(
-            n=args.n,
-            f=args.f,
-            duration=args.duration,
-            kills=parse_schedule(args.kill, "kill"),
-            recovers=parse_schedule(args.recover, "recover"),
-            kill_mode=args.kill_mode,
-            follower_mode=args.follower_mode,
-            heartbeat_period=args.heartbeat,
-            base_timeout=args.timeout,
-            anti_entropy_period=args.anti_entropy,
-            run_dir=args.run_dir,
-            uvloop=args.uvloop,
+        config = _cluster_config(
+            args, kill_mode=args.kill_mode, anti_entropy_period=args.anti_entropy
         )
         config.validate()
     except ConfigurationError as exc:
@@ -308,7 +316,7 @@ def _cmd_node(args: argparse.Namespace) -> int:
             f=args.f,
             port=args.port,
             peers=peers,
-            follower_mode=args.follower_mode,
+            selector=args.selector,
             heartbeat_period=args.heartbeat,
             base_timeout=args.timeout,
             duration=args.duration,
@@ -323,13 +331,30 @@ def _cmd_node(args: argparse.Namespace) -> int:
             batch_size=args.batch_size,
             batch_window=args.batch_window,
             checkpoint_interval=args.checkpoint_interval,
-            protocol=args.protocol,
+            # --protocol only means something under --service.
+            protocol=args.protocol if args.service else None,
         )
         config.validate()
         run_node_blocking(config)
     except ConfigurationError as exc:
         return _invalid(str(exc))
     return 0
+
+
+def _load_options(args: argparse.Namespace):
+    """The keywords every load driver shares, from the ``loadgen`` flags."""
+    return {
+        "n": args.n,
+        "f": args.f,
+        "clients": args.clients,
+        "duration": args.duration,
+        "mode": args.mode,
+        "rate": args.rate,
+        "seed": args.seed,
+        "keys": args.keys,
+        "zipf_s": args.zipf,
+        "recover_at": args.recover_at,
+    }
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
@@ -358,42 +383,20 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     if args.shards > 1:
         if args.protocol != "xpaxos":
             return _invalid("--protocol is only supported with --shards 1")
-        return _cmd_loadgen_sharded(args, kill, recover)
+        return _cmd_loadgen_sharded(args)
     try:
         if args.runtime == "sim":
             from repro.service.loadgen import run_sim_load
 
             report = run_sim_load(
-                n=args.n,
-                f=args.f,
-                clients=args.clients,
-                duration=args.duration,
-                mode=args.mode,
-                rate=args.rate,
-                seed=args.seed,
-                keys=args.keys,
-                zipf_s=args.zipf,
-                kill_leader_at=kill,
-                recover_at=recover,
-                protocol=args.protocol,
+                **_load_options(args), kill_leader_at=kill, protocol=args.protocol
             )
             report.pop("world", None)
         else:
             from repro.service.live import run_live_load_blocking
 
             report = run_live_load_blocking(
-                n=args.n,
-                f=args.f,
-                clients=args.clients,
-                duration=args.duration,
-                mode=args.mode,
-                rate=args.rate,
-                seed=args.seed,
-                keys=args.keys,
-                zipf_s=args.zipf,
-                kill_leader_at=kill,
-                recover_at=recover,
-                protocol=args.protocol,
+                **_load_options(args), kill_leader_at=kill, protocol=args.protocol,
                 run_dir=args.run_dir,
             )
     except ConfigurationError as exc:
@@ -435,51 +438,24 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0 if healthy else 1
 
 
-def _cmd_loadgen_sharded(args: argparse.Namespace, kill, recover) -> int:
+def _cmd_loadgen_sharded(args: argparse.Namespace) -> int:
     """``loadgen --shards M``: the deployment-level sharded drivers."""
     from repro.util.errors import ConfigurationError
 
+    options = dict(
+        _load_options(args), kill_shard_leader_at=args.kill_leader_at,
+        shards=args.shards, vnodes=args.vnodes, kill_shard=args.kill_shard,
+    )
     try:
         if args.runtime == "sim":
             from repro.shard.sim import run_sim_shard_load
 
-            report = run_sim_shard_load(
-                shards=args.shards,
-                n=args.n,
-                f=args.f,
-                clients=args.clients,
-                duration=args.duration,
-                mode=args.mode,
-                rate=args.rate,
-                seed=args.seed,
-                keys=args.keys,
-                zipf_s=args.zipf,
-                vnodes=args.vnodes,
-                kill_shard_leader_at=kill,
-                kill_shard=args.kill_shard,
-                recover_at=recover,
-            )
+            report = run_sim_shard_load(**options)
             report.pop("worlds", None)
         else:
             from repro.shard.live import run_live_shard_load_blocking
 
-            report = run_live_shard_load_blocking(
-                shards=args.shards,
-                n=args.n,
-                f=args.f,
-                clients=args.clients,
-                duration=args.duration,
-                mode=args.mode,
-                rate=args.rate,
-                seed=args.seed,
-                keys=args.keys,
-                zipf_s=args.zipf,
-                vnodes=args.vnodes,
-                kill_shard_leader_at=kill,
-                kill_shard=args.kill_shard,
-                recover_at=recover,
-                run_dir=args.run_dir,
-            )
+            report = run_live_shard_load_blocking(**options, run_dir=args.run_dir)
     except ConfigurationError as exc:
         return _invalid(str(exc))
 
@@ -571,7 +547,7 @@ def _cmd_metrics_sim(args: argparse.Namespace) -> int:
         kills = parse_schedule(args.kill, "kill")
         recovers = parse_schedule(args.recover, "recover")
         sim, _modules = build_qs_world(
-            args.n, args.f, seed=args.seed, follower_mode=args.follower_mode
+            args.n, args.f, seed=args.seed, selector=args.selector
         )
     except ConfigurationError as exc:
         return _invalid(str(exc))
@@ -584,22 +560,11 @@ def _cmd_metrics_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics_net(args: argparse.Namespace) -> int:
-    from repro.net.cluster import ClusterConfig, parse_schedule, run_cluster
+    from repro.net.cluster import run_cluster
     from repro.util.errors import ConfigurationError
 
     try:
-        config = ClusterConfig(
-            n=args.n,
-            f=args.f,
-            duration=args.duration,
-            kills=parse_schedule(args.kill, "kill"),
-            recovers=parse_schedule(args.recover, "recover"),
-            follower_mode=args.follower_mode,
-            heartbeat_period=args.heartbeat,
-            base_timeout=args.timeout,
-            run_dir=args.run_dir,
-            uvloop=args.uvloop,
-        )
+        config = _cluster_config(args)
         config.validate()
     except ConfigurationError as exc:
         return _invalid(str(exc))
@@ -745,8 +710,13 @@ def _cmd_adversary_search(args: argparse.Namespace) -> int:
     return 0 if all_met else 1
 
 
+#: ``--follower-mode``: the deployment's selector is ``fs``, not ``qs``.
+FOLLOWER_MODE = dict(action="store_const", dest="selector", const="fs", default="qs")
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
+    from repro.net.node import LIVE_DEFAULTS as LIVE
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -813,12 +783,13 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--kill-mode", choices=("host", "process"), default="host",
                          help="host = silent crash with state (recoverable); "
                               "process = SIGKILL the replica")
-    cluster.add_argument("--follower-mode", action="store_true",
+    cluster.add_argument("--follower-mode", **FOLLOWER_MODE,
                          help="run Follower Selection instead of Quorum Selection")
-    cluster.add_argument("--heartbeat", type=float, default=0.3,
-                         help="heartbeat period in seconds (default 0.3)")
-    cluster.add_argument("--timeout", type=float, default=2.0,
-                         help="failure-detector base timeout in seconds (default 2)")
+    cluster.add_argument("--heartbeat", type=float, default=LIVE["heartbeat_period"],
+                         help="heartbeat period in seconds (default %(default)s)")
+    cluster.add_argument("--timeout", type=float, default=LIVE["base_timeout"],
+                         help="failure-detector base timeout in seconds "
+                              "(default %(default)s)")
     cluster.add_argument("--anti-entropy", type=float, default=None,
                          help="periodic matrix sync period (default off)")
     cluster.add_argument("--run-dir", default=None,
@@ -843,11 +814,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="'-' reads a JSON peer map from stdin (rendezvous); "
                            "or '1=host:port,2=host:port,...'")
     node.add_argument("--duration", type=float, default=10.0)
-    node.add_argument("--heartbeat", type=float, default=0.3)
-    node.add_argument("--timeout", type=float, default=2.0)
+    node.add_argument("--heartbeat", type=float, default=LIVE["heartbeat_period"])
+    node.add_argument("--timeout", type=float, default=LIVE["base_timeout"])
     node.add_argument("--queue-capacity", type=int, default=1024)
     node.add_argument("--anti-entropy", type=float, default=None)
-    node.add_argument("--follower-mode", action="store_true")
+    node.add_argument("--follower-mode", **FOLLOWER_MODE)
     node.add_argument("--kill-at", type=float, action="append", default=[],
                       metavar="T", help="crash own host T seconds after ready")
     node.add_argument("--recover-at", type=float, action="append", default=[],
@@ -860,12 +831,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run a replicated service on top of the QS stack")
     node.add_argument("--service-clients", type=int, default=0,
                       help="logical client pids covered by the key registry")
-    node.add_argument("--batch-size", type=int, default=8,
-                      help="service consensus batch size (default 8)")
-    node.add_argument("--batch-window", type=float, default=0.002,
-                      help="service consensus batch window seconds (default 0.002)")
-    node.add_argument("--checkpoint-interval", type=int, default=128,
-                      help="service checkpoint every N slots (default 128)")
+    node.add_argument("--batch-size", type=int, default=LIVE["batch_size"],
+                      help="service consensus batch size (default %(default)s)")
+    node.add_argument("--batch-window", type=float, default=LIVE["batch_window"],
+                      help="service consensus batch window seconds "
+                           "(default %(default)s)")
+    node.add_argument("--checkpoint-interval", type=int,
+                      default=LIVE["checkpoint_interval"],
+                      help="service checkpoint every N slots (default %(default)s)")
     node.add_argument("--protocol", choices=backend_names(), default="xpaxos",
                       help="protocol backend executing the service (default xpaxos)")
     node.set_defaults(func=_cmd_node)
@@ -933,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="crash PID at sim time T (repeatable)")
     msim.add_argument("--recover", action="append", default=[], metavar="PID@T",
                       help="recover PID at sim time T (repeatable)")
-    msim.add_argument("--follower-mode", action="store_true")
+    msim.add_argument("--follower-mode", **FOLLOWER_MODE)
     msim.add_argument("--render", choices=("table", "prom", "json"),
                       default="table")
     msim.add_argument("--out", default=None, metavar="FILE",
@@ -949,9 +922,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run length in wall seconds (default 8)")
     mnet.add_argument("--kill", action="append", default=[], metavar="PID@T")
     mnet.add_argument("--recover", action="append", default=[], metavar="PID@T")
-    mnet.add_argument("--heartbeat", type=float, default=0.3)
-    mnet.add_argument("--timeout", type=float, default=2.0)
-    mnet.add_argument("--follower-mode", action="store_true")
+    mnet.add_argument("--heartbeat", type=float, default=LIVE["heartbeat_period"])
+    mnet.add_argument("--timeout", type=float, default=LIVE["base_timeout"])
+    mnet.add_argument("--follower-mode", **FOLLOWER_MODE)
     mnet.add_argument("--run-dir", default=None,
                       help="also write per-node JSONL + .prom files here")
     mnet.add_argument("--uvloop", action="store_true",

@@ -35,18 +35,37 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.deployment import Deployment, takes_deployment_fields
+from repro.net.node import NodeConfig, live_deployment, node_spec
 from repro.util.errors import ConfigurationError
 
 #: Extra wall time allowed beyond ``duration`` before children are reaped.
 GRACE_SECONDS = 20.0
 
 
+def crashed_at_end(kills, recovers) -> FrozenSet[int]:
+    """Pids whose last scheduled transition — ``(pid, t)`` pairs — leaves
+    them crashed."""
+    last: Dict[int, Tuple[float, str]] = {}
+    for pid, t in kills:
+        if pid not in last or t >= last[pid][0]:
+            last[pid] = (t, "kill")
+    for pid, t in recovers:
+        if pid not in last or t >= last[pid][0]:
+            last[pid] = (t, "recover")
+    return frozenset(pid for pid, (_, what) in last.items() if what == "kill")
+
+
+@takes_deployment_fields(live_deployment)
 @dataclass(frozen=True)
 class ClusterConfig:
-    """One cluster run: size, timing, and the fault schedule."""
+    """One cluster run: the :class:`Deployment`, timing and fault schedule.
 
-    n: int
-    f: int
+    ``ClusterConfig(n=5, f=1, ...)`` builds the deployment as
+    :func:`~repro.net.node.live_deployment` of those fields.
+    """
+
+    deployment: Deployment
     duration: float = 10.0
     #: Free-form tag carried into the summary (e.g. ``"shard-2"`` when a
     #: sharded deployment runs several clusters side by side).
@@ -55,36 +74,27 @@ class ClusterConfig:
     kills: Tuple[Tuple[int, float], ...] = ()
     recovers: Tuple[Tuple[int, float], ...] = ()
     kill_mode: str = "host"  # "host" | "process"
-    follower_mode: bool = False
-    heartbeat_period: float = 0.3
-    base_timeout: float = 2.0
     queue_capacity: int = 1024
-    anti_entropy_period: Optional[float] = None
     run_dir: Optional[Path] = None
     startup_timeout: float = 30.0
     uvloop: bool = False
-    #: Replicated service every node runs (``"kv"``) or ``None``.
-    service: Optional[str] = None
     #: Logical client pids reserved in every node's key registry.
     service_clients: int = 0
     #: Extra (pid, "host:port") entries merged into the rendezvous peer
     #: map — how client pids and the gateway pid route to the gateway
     #: process, which binds *before* the cluster launches.
     extra_peers: Tuple[Tuple[int, str], ...] = ()
-    #: Service-mode consensus tuning, passed through to every node.
-    batch_size: int = 8
-    batch_window: float = 0.002
-    checkpoint_interval: Optional[int] = 128
-    #: Protocol backend every node executes in service mode.
-    protocol: str = "xpaxos"
+
+    @property
+    def n(self) -> int:
+        return self.deployment.n
+
+    @property
+    def f(self) -> int:
+        return self.deployment.f
 
     def validate(self) -> None:
-        from repro.protocol.backend import backend_names
-
-        if not 1 <= self.f < self.n - self.f:
-            raise ConfigurationError(
-                f"need 1 <= f and q = n - f > f; got n={self.n}, f={self.f}"
-            )
+        self.deployment.validate()
         if self.duration <= 0:
             raise ConfigurationError(f"duration must be positive, got {self.duration}")
         if self.kill_mode not in ("host", "process"):
@@ -100,17 +110,9 @@ class ClusterConfig:
             raise ConfigurationError(
                 "recovery requires kill_mode='host' (a SIGKILLed process has no state)"
             )
-        if self.service not in (None, "kv"):
-            raise ConfigurationError(
-                f"service must be 'kv' or omitted, got {self.service!r}"
-            )
         if self.service_clients < 0:
             raise ConfigurationError(
                 f"service_clients must be >= 0, got {self.service_clients}"
-            )
-        if self.protocol not in backend_names():
-            raise ConfigurationError(
-                f"protocol must be one of {backend_names()}, got {self.protocol!r}"
             )
         for pid, _addr in self.extra_peers:
             if pid <= self.n:
@@ -119,15 +121,7 @@ class ClusterConfig:
                 )
 
     def crashed_at_end(self) -> FrozenSet[int]:
-        """Pids whose last scheduled transition leaves them crashed."""
-        last: Dict[int, Tuple[float, str]] = {}
-        for pid, t in self.kills:
-            if pid not in last or t >= last[pid][0]:
-                last[pid] = (t, "kill")
-        for pid, t in self.recovers:
-            if pid not in last or t >= last[pid][0]:
-                last[pid] = (t, "recover")
-        return frozenset(pid for pid, (_, what) in last.items() if what == "kill")
+        return crashed_at_end(self.kills, self.recovers)
 
 
 @dataclass
@@ -232,7 +226,9 @@ class ClusterResult:
         quorum = self.final_quorum()
         return {
             **({"label": self.config.label} if self.config.label else {}),
-            **({"protocol": self.config.protocol} if self.config.service else {}),
+            **({"protocol": self.config.deployment.protocol}
+               if self.config.deployment.service else {}),
+            "selector": self.config.deployment.selector,
             "n": self.config.n,
             "f": self.config.f,
             "duration": self.config.duration,
@@ -250,47 +246,22 @@ class ClusterResult:
 
 
 def _node_command(config: ClusterConfig, pid: int) -> List[str]:
-    cmd = [
-        sys.executable,
-        "-m",
-        "repro",
-        "node",
-        "--pid", str(pid),
-        "--n", str(config.n),
-        "--f", str(config.f),
-        "--port", "0",
-        "--peers", "-",
-        "--duration", str(config.duration),
-        "--heartbeat", str(config.heartbeat_period),
-        "--timeout", str(config.base_timeout),
-        "--queue-capacity", str(config.queue_capacity),
-    ]
-    if config.follower_mode:
-        cmd.append("--follower-mode")
-    if config.run_dir is not None:
-        cmd += ["--metrics-prom", str(Path(config.run_dir) / f"node_{pid}.prom")]
-    if config.anti_entropy_period is not None:
-        cmd += ["--anti-entropy", str(config.anti_entropy_period)]
-    if config.service is not None:
-        cmd += [
-            "--service", config.service,
-            "--service-clients", str(config.service_clients),
-            "--batch-size", str(config.batch_size),
-            "--batch-window", str(config.batch_window),
-            "--protocol", config.protocol,
-        ]
-        if config.checkpoint_interval is not None:
-            cmd += ["--checkpoint-interval", str(config.checkpoint_interval)]
-    if config.uvloop:
-        cmd.append("--uvloop")
-    if config.kill_mode == "host":
-        for kpid, t in config.kills:
-            if kpid == pid:
-                cmd += ["--kill-at", str(t)]
-        for rpid, t in config.recovers:
-            if rpid == pid:
-                cmd += ["--recover-at", str(t)]
-    return cmd
+    """The command line launching replica ``pid``: its whole config as JSON."""
+    host_mode = config.kill_mode == "host"
+    node = NodeConfig(
+        pid=pid,
+        deployment=config.deployment,
+        duration=config.duration,
+        queue_capacity=config.queue_capacity,
+        kills_at=tuple(t for p, t in config.kills if p == pid and host_mode),
+        recovers_at=tuple(t for p, t in config.recovers if p == pid and host_mode),
+        metrics_prom_path=(
+            None if config.run_dir is None else str(Path(config.run_dir) / f"node_{pid}.prom")
+        ),
+        uvloop=config.uvloop,
+        service_clients=config.service_clients,
+    )
+    return [sys.executable, "-m", "repro.net.node", node_spec(node)]
 
 
 def _child_env() -> Dict[str, str]:

@@ -1,12 +1,18 @@
 """One live replica: host + Figure-1 stack + JSON event stream.
 
 A node is one OS process hosting one :class:`~repro.net.host.NetHost`
-with the exact module stack the simulator uses
-(:func:`repro.sim.worlds.attach_qs_stack`): failure detector, heartbeat
-application, and Quorum (or Follower) Selection.  It speaks the
-length-prefixed binary wire protocol with its peers and narrates itself as
-JSON lines on stdout — one line per protocol transition — so the cluster
-harness (and any log shipper) can consume the run structurally.
+with the stack its :class:`~repro.deployment.Deployment` names, mounted
+by the same :func:`~repro.deployment.mount` the simulator uses: failure
+detector, heartbeat application, Quorum (or Follower) Selection and, in
+service mode, a protocol replica.  It speaks the length-prefixed binary
+wire protocol with its peers and narrates itself as JSON lines on stdout
+— one line per protocol transition — so the cluster harness (and any
+log shipper) can consume the run structurally.
+
+The cluster harness launches a node as ``python -m repro.net.node
+SPEC``, ``SPEC`` being the whole :class:`NodeConfig` as one JSON
+document (:func:`node_spec`); ``python -m repro node`` builds the same
+config from flags.
 
 Stdout protocol, in order:
 
@@ -33,6 +39,7 @@ a crash cancels host timers, and the recovery must still fire.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import sys
 import time
@@ -41,6 +48,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.crypto.authenticator import Authenticator
 from repro.crypto.keys import KeyRegistry
+from repro.deployment import Deployment, mount, takes_deployment_fields
 from repro.net.batch import BatchAuthenticator
 from repro.net.host import NetHost
 from repro.net.loop import maybe_install_uvloop, uvloop_active
@@ -48,8 +56,6 @@ from repro.net.peer import PeerManager
 from repro.net.timers import NetTimerService
 from repro.obs.observability import Observability
 from repro.obs.registry import render_prometheus
-from repro.protocol.backend import backend_names
-from repro.sim.worlds import attach_kv_service_stack, attach_qs_stack
 from repro.util.errors import ConfigurationError
 from repro.util.eventlog import EventLog
 from repro.util.files import atomic_write_text
@@ -65,24 +71,47 @@ STREAMED_KINDS = {
 }
 
 
+#: Deployment knobs of a live node or cluster that leaves them unset; also
+#: the defaults of the matching ``repro node``/``cluster``/``metrics net``
+#: flags.
+LIVE_DEFAULTS = dict(
+    heartbeat_period=0.3,
+    base_timeout=2.0,
+    batch_size=8,
+    batch_window=0.002,
+    checkpoint_interval=128,
+)
+
+
+def live_deployment(**fields: Any) -> Deployment:
+    """A live :class:`Deployment`: ``fields`` over :data:`LIVE_DEFAULTS`.
+
+    Every live deployment is built here — a :class:`NodeConfig` or
+    :class:`~repro.net.cluster.ClusterConfig` given its fields, the live
+    load drivers, the parity runner — so a knob left unset always takes
+    the live default, never the simulated world's.
+    """
+    return Deployment(**{**LIVE_DEFAULTS, **fields})
+
+
+@takes_deployment_fields(live_deployment)
 @dataclass
 class NodeConfig:
-    """Everything one replica needs to join a cluster."""
+    """One replica's launch around the cluster's :class:`Deployment`.
+
+    ``NodeConfig(pid=1, n=4, f=1, service="kv", ...)`` builds the
+    deployment as :func:`live_deployment` of those fields.
+    """
 
     pid: int
-    n: int
-    f: int
+    deployment: Deployment
     port: int = 0
     bind_host: str = "127.0.0.1"
     #: pid -> (host, port); ``None`` means "read the map from stdin".
     peers: Optional[Dict[int, Tuple[str, int]]] = None
-    follower_mode: bool = False
-    heartbeat_period: float = 0.3
-    base_timeout: float = 2.0
     duration: float = 10.0
     warmup_timeout: float = 10.0
     queue_capacity: int = 1024
-    anti_entropy_period: Optional[float] = None
     #: Seconds after ready at which this node's host crashes / recovers.
     kills_at: Tuple[float, ...] = field(default_factory=tuple)
     recovers_at: Tuple[float, ...] = field(default_factory=tuple)
@@ -92,47 +121,48 @@ class NodeConfig:
     metrics_prom_path: Optional[str] = None
     #: Install uvloop before running (no-op where unavailable).
     uvloop: bool = False
-    #: Run a replicated service on top of the QS stack (``"kv"``), or
-    #: ``None`` for the bare selection stack.
-    service: Optional[str] = None
     #: Logical client pids the key registry must cover in service mode
     #: (clients occupy ``n+1 .. n+service_clients``; the gateway takes
     #: ``n+service_clients+1``).
     service_clients: int = 0
-    #: Service-mode consensus tuning (ignored without ``service``).
-    batch_size: int = 8
-    batch_window: float = 0.002
-    checkpoint_interval: Optional[int] = 128
-    #: Which protocol backend executes the service (ignored without
-    #: ``service``); any name in :func:`repro.protocol.backend.backend_names`.
-    protocol: str = "xpaxos"
+
+    @property
+    def n(self) -> int:
+        return self.deployment.n
+
+    @property
+    def f(self) -> int:
+        return self.deployment.f
 
     def validate(self) -> None:
-        if not 1 <= self.f < self.n - self.f:
-            raise ConfigurationError(
-                f"need 1 <= f and q = n - f > f; got n={self.n}, f={self.f}"
-            )
+        self.deployment.validate()
         if not 1 <= self.pid <= self.n:
             raise ConfigurationError(f"pid {self.pid} out of range for n={self.n}")
         if self.duration <= 0:
             raise ConfigurationError(f"duration must be positive, got {self.duration}")
-        if self.heartbeat_period <= 0 or self.base_timeout <= 0:
-            raise ConfigurationError("heartbeat period and base timeout must be positive")
         for t in (*self.kills_at, *self.recovers_at):
             if t < 0:
                 raise ConfigurationError(f"injection times must be >= 0, got {t}")
-        if self.service not in (None, "kv"):
-            raise ConfigurationError(f"service must be 'kv' or omitted, got {self.service!r}")
         if self.service_clients < 0:
             raise ConfigurationError(
                 f"service_clients must be >= 0, got {self.service_clients}"
             )
-        if self.service is not None and self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.protocol not in backend_names():
-            raise ConfigurationError(
-                f"protocol must be one of {backend_names()}, got {self.protocol!r}"
-            )
+
+
+def node_spec(config: NodeConfig) -> str:
+    """``config`` as the one JSON argument of ``python -m repro.net.node``."""
+    return json.dumps(dataclasses.asdict(config), separators=(",", ":"))
+
+
+def parse_node_spec(text: str) -> NodeConfig:
+    """Inverse of :func:`node_spec`."""
+    raw = json.loads(text)
+    raw["deployment"] = Deployment(**raw["deployment"])
+    raw["kills_at"] = tuple(raw["kills_at"])
+    raw["recovers_at"] = tuple(raw["recovers_at"])
+    if raw["peers"] is not None:
+        raw["peers"] = {int(pid): tuple(addr) for pid, addr in raw["peers"].items()}
+    return NodeConfig(**raw)
 
 
 class StreamingEventLog(EventLog):
@@ -180,6 +210,7 @@ def make_emitter(stream=None):
 async def run_node(config: NodeConfig, emit=None) -> Dict[str, Any]:
     """Run one replica to completion; returns (and emits) the final record."""
     config.validate()
+    deployment = config.deployment
     emit = emit if emit is not None else make_emitter()
     loop = asyncio.get_running_loop()
 
@@ -189,7 +220,7 @@ async def run_node(config: NodeConfig, emit=None) -> Dict[str, Any]:
     # keys are derived per pid, so differently-sized registries agree on
     # every pid they share.
     registry_size = config.n
-    if config.service is not None:
+    if deployment.service is not None:
         registry_size = config.n + config.service_clients + 1
     registry = KeyRegistry(registry_size)
     manager = PeerManager(
@@ -213,7 +244,7 @@ async def run_node(config: NodeConfig, emit=None) -> Dict[str, Any]:
     # already holding at t=0 (dial-on-demand still covers latecomers).
     # Service mode warms only the replica mesh — every client pid in the
     # map routes to one gateway that is dialed on the first reply.
-    warm_targets = range(1, config.n + 1) if config.service is not None else None
+    warm_targets = range(1, config.n + 1) if deployment.service is not None else None
     warmed = await manager.warm_up(timeout=config.warmup_timeout, peers=warm_targets)
 
     timers = NetTimerService(loop)
@@ -223,29 +254,7 @@ async def run_node(config: NodeConfig, emit=None) -> Dict[str, Any]:
         config.pid, manager, Authenticator(registry, config.pid), timers,
         log=log, obs=obs,
     )
-    replica = None
-    if config.service is not None:
-        module, replica = attach_kv_service_stack(
-            host,
-            config.n,
-            config.f,
-            heartbeat_period=config.heartbeat_period,
-            base_timeout=config.base_timeout,
-            batch_size=config.batch_size,
-            batch_window=config.batch_window,
-            checkpoint_interval=config.checkpoint_interval,
-            protocol=config.protocol,
-        )
-    else:
-        module = attach_qs_stack(
-            host,
-            config.n,
-            config.f,
-            follower_mode=config.follower_mode,
-            heartbeat_period=config.heartbeat_period,
-            base_timeout=config.base_timeout,
-            anti_entropy_period=config.anti_entropy_period,
-        )
+    selector, replica = mount(host, deployment)
     host.start()
     emit({"event": "ready", "pid": config.pid, "t": round(timers.now, 6), "warmed": warmed})
 
@@ -272,17 +281,35 @@ async def run_node(config: NodeConfig, emit=None) -> Dict[str, Any]:
     stats = manager.stats.as_dict()
     stats["frames_ignored_crashed"] = host.frames_ignored_crashed
     stats["timers_fired"] = timers.timers_fired
+    module = selector.module
+    if module is not None:
+        selection = {
+            "epoch": module.epoch,
+            "quorum": sorted(module.qlast),
+            "quorum_changes": module.total_quorums_issued(),
+            "max_changes_per_epoch": module.max_quorums_in_any_epoch(),
+            "quorums_per_epoch": {
+                str(e): c for e, c in sorted(module.quorums_per_epoch.items())
+            },
+            "suspecting": sorted(module.suspecting),
+        }
+    else:
+        # No selection module (enum, all): the replica's view is the
+        # selection state, read through the selector.
+        selection = {
+            "epoch": replica.view,
+            "quorum": sorted(selector.quorum_of(replica.view)),
+            "quorum_changes": replica.view_changes,
+            "max_changes_per_epoch": replica.view_changes,
+            "quorums_per_epoch": {},
+            "suspecting": sorted(host.fd.suspected),
+        }
     final = {
         "event": "final",
         "pid": config.pid,
         "t": round(timers.now, 6),
         "running": host.running,
-        "epoch": module.epoch,
-        "quorum": sorted(module.qlast),
-        "quorum_changes": module.total_quorums_issued(),
-        "max_changes_per_epoch": module.max_quorums_in_any_epoch(),
-        "quorums_per_epoch": {str(e): c for e, c in sorted(module.quorums_per_epoch.items())},
-        "suspecting": sorted(module.suspecting),
+        **selection,
         "stats": stats,
         "wire": {
             "uvloop": uvloop_active(),
@@ -290,17 +317,14 @@ async def run_node(config: NodeConfig, emit=None) -> Dict[str, Any]:
             **manager.wire_stats.as_dict(),
         },
     }
-    if replica is not None:
+    if deployment.service is not None:
         final["service"] = {
-            "kind": config.service,
-            "protocol": config.protocol,
+            "kind": deployment.service,
+            "protocol": deployment.protocol,
+            "selector": deployment.selector,
             "view": replica.view,
             "executed": replica.executed_base + len(replica.executed),
-            "applied_requests": replica.kv.applied_requests,
-            "duplicates_refused": replica.kv.duplicates_refused,
-            "known_clients": replica.kv.known_clients,
-            "at_most_once": replica.kv.at_most_once_intact(),
-            "state_digest": replica.kv.state_digest(),
+            **replica.kv.summary(),
         }
     emit(final)
     await manager.close()
@@ -313,3 +337,7 @@ def run_node_blocking(config: NodeConfig, emit=None) -> Dict[str, Any]:
     # loop exists; on machines without uvloop this is a recorded no-op.
     maybe_install_uvloop(config.uvloop or None)
     return asyncio.run(run_node(config, emit=emit))
+
+
+if __name__ == "__main__":
+    run_node_blocking(parse_node_spec(sys.argv[1]))

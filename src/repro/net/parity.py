@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.net.cluster import ClusterConfig, ClusterResult, run_cluster
+from repro.net.cluster import ClusterConfig, ClusterResult, crashed_at_end, run_cluster
+from repro.net.node import live_deployment
 from repro.sim.worlds import build_qs_world
 
 
@@ -44,14 +45,7 @@ class ParitySchedule:
     duration_periods: float = 40.0
 
     def crashed_at_end(self) -> FrozenSet[int]:
-        last: Dict[int, Tuple[float, str]] = {}
-        for pid, t in self.kills:
-            if pid not in last or t >= last[pid][0]:
-                last[pid] = (t, "kill")
-        for pid, t in self.recovers:
-            if pid not in last or t >= last[pid][0]:
-                last[pid] = (t, "recover")
-        return frozenset(pid for pid, (_, what) in last.items() if what == "kill")
+        return crashed_at_end(self.kills, self.recovers)
 
 
 @dataclass
@@ -69,13 +63,13 @@ class RuntimeOutcome:
         return next(iter(quorums)) if len(quorums) == 1 else None
 
 
-def run_sim_schedule(
+def _play_on_sim(
     schedule: ParitySchedule,
     seed: int = 3,
     heartbeat_period: float = 2.0,
     base_timeout: float = 4.0,
-) -> RuntimeOutcome:
-    """Execute the schedule on the discrete-event simulator."""
+):
+    """Play the schedule on the simulator; returns ``(sim, modules)``."""
     sim, modules = build_qs_world(
         schedule.n,
         schedule.f,
@@ -88,7 +82,15 @@ def run_sim_schedule(
     for pid, periods in schedule.recovers:
         sim.at(periods * heartbeat_period, lambda p=pid: sim.host(p).recover())
     sim.run_until(schedule.duration_periods * heartbeat_period)
+    return sim, modules
 
+
+def run_sim_schedule(schedule: ParitySchedule, **sim_options) -> RuntimeOutcome:
+    """Execute the schedule on the discrete-event simulator.
+
+    ``sim_options``: ``seed``, ``heartbeat_period``, ``base_timeout``.
+    """
+    sim, modules = _play_on_sim(schedule, **sim_options)
     crashed = schedule.crashed_at_end()
     correct = [pid for pid in sim.pids if pid not in crashed]
     return RuntimeOutcome(
@@ -109,14 +111,14 @@ def run_net_schedule(
 ) -> Tuple[RuntimeOutcome, ClusterResult]:
     """Execute the schedule on a live loopback cluster."""
     config = ClusterConfig(
-        n=schedule.n,
-        f=schedule.f,
+        deployment=live_deployment(
+            n=schedule.n, f=schedule.f,
+            heartbeat_period=heartbeat_period, base_timeout=base_timeout,
+        ),
         duration=schedule.duration_periods * heartbeat_period,
         kills=tuple((pid, t * heartbeat_period) for pid, t in schedule.kills),
         recovers=tuple((pid, t * heartbeat_period) for pid, t in schedule.recovers),
         kill_mode="host",
-        heartbeat_period=heartbeat_period,
-        base_timeout=base_timeout,
         run_dir=run_dir,
     )
     result = run_cluster(config)
@@ -146,41 +148,20 @@ METRIC_PARITY_SCHEDULE = ParitySchedule(
 PARITY_METRIC_NAMES = ("qs_quorum_changes_total", "qs_epoch")
 
 
-def run_sim_metrics(
-    schedule: ParitySchedule,
-    seed: int = 3,
-    heartbeat_period: float = 2.0,
-    base_timeout: float = 4.0,
-) -> dict:
+def run_sim_metrics(schedule: ParitySchedule, **sim_options) -> dict:
     """Execute the schedule on the simulator; return the metrics snapshot."""
-    sim, _modules = build_qs_world(
-        schedule.n,
-        schedule.f,
-        seed=seed,
-        heartbeat_period=heartbeat_period,
-        base_timeout=base_timeout,
-    )
-    for pid, periods in schedule.kills:
-        sim.at(periods * heartbeat_period, lambda p=pid: sim.host(p).crash())
-    for pid, periods in schedule.recovers:
-        sim.at(periods * heartbeat_period, lambda p=pid: sim.host(p).recover())
-    sim.run_until(schedule.duration_periods * heartbeat_period)
+    sim, _modules = _play_on_sim(schedule, **sim_options)
     return sim.obs.snapshot()
 
 
 def run_net_metrics(
-    schedule: ParitySchedule,
-    heartbeat_period: float = 0.3,
-    base_timeout: float = 2.0,
-    run_dir=None,
+    schedule: ParitySchedule, **net_options
 ) -> Tuple[Dict[int, dict], ClusterResult]:
-    """Execute the schedule on a live cluster; return per-node snapshots."""
-    _outcome, result = run_net_schedule(
-        schedule,
-        heartbeat_period=heartbeat_period,
-        base_timeout=base_timeout,
-        run_dir=run_dir,
-    )
+    """Execute the schedule on a live cluster; return per-node snapshots.
+
+    ``net_options`` are :func:`run_net_schedule`'s.
+    """
+    _outcome, result = run_net_schedule(schedule, **net_options)
     return result.metrics_snapshots(), result
 
 

@@ -181,10 +181,13 @@ SELECTORS: Dict[str, Type[Selector]] = {
 }
 
 
-def make_selector(name: str, n: int, f: int, host: Optional[Any] = None) -> Selector:
+def make_selector(
+    name: str, n: int, f: int, host: Optional[Any] = None, **module_options: Any
+) -> Selector:
     """The selector called ``name``; with a ``host``, its selection module
-    is created and mounted there (without one — a client, a certificate
-    check — only the stateless view mapping is usable)."""
+    is created (with ``module_options``) and mounted there (without one —
+    a client, a certificate check — only the stateless view mapping is
+    usable)."""
     try:
         cls = SELECTORS[name]
     except KeyError:
@@ -193,7 +196,7 @@ def make_selector(name: str, n: int, f: int, host: Optional[Any] = None) -> Sele
         ) from None
     module = None
     if host is not None and cls.module_class is not None:
-        module = host.add_module(cls.module_class(host, n=n, f=f))
+        module = host.add_module(cls.module_class(host, n=n, f=f, **module_options))
     return cls(n, f, module)
 
 

@@ -1,12 +1,12 @@
 """Assembly of a full replicated system inside one simulation.
 
-:func:`build_backend_system` is the one place that wires, per replica,
-a failure detector, heartbeats (crash/omission detection independent of
-client traffic), a named :class:`~repro.protocol.selector.Selector` with
-its selection module, and the replica of a named
-:class:`~repro.protocol.backend.ProtocolBackend`; clients occupy process
-ids ``n+1 .. n+clients``.  Tests, experiments and the conformance
-batteries build every backend x selector combination through it.
+:func:`build_backend_system` mounts one
+:class:`~repro.deployment.Deployment` — a named
+:class:`~repro.protocol.backend.ProtocolBackend` on a named
+:class:`~repro.protocol.selector.Selector`, with failure detector and
+heartbeats — on every replica host; clients occupy process ids
+``n+1 .. n+clients``.  Tests, experiments and the conformance batteries
+build every backend x selector combination through it.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.deployment import Deployment, mount
 from repro.failures.adversary import Adversary
-from repro.fd.detector import FailureDetector
-from repro.fd.heartbeat import HeartbeatModule
-from repro.fd.timers import TimeoutPolicy
 from repro.protocol.backend import ProtocolBackend, ReplicaStatus, get_backend
 from repro.protocol.selector import make_selector
 from repro.sim.runtime import Simulation, SimulationConfig
@@ -122,7 +120,13 @@ def build_backend_system(
 
     ``client_ops`` is one op-list per client; defaults to 20 puts each.
     """
-    backend = get_backend(protocol)
+    deployment = Deployment(
+        n=n, f=f, selector=selector, protocol=protocol,
+        batch_size=batch_size, batch_window=batch_window,
+        checkpoint_interval=checkpoint_interval, heartbeats=heartbeats,
+        heartbeat_period=heartbeat_period, base_timeout=fd_base_timeout,
+    )
+    deployment.validate()
     if clients < 0:
         raise ConfigurationError("clients must be >= 0")
     sim = Simulation(
@@ -135,21 +139,11 @@ def build_backend_system(
     replicas: Dict[int, Any] = {}
     qs_modules: Dict[int, Any] = {}
     for pid in range(1, n + 1):
-        host = sim.host(pid)
-        FailureDetector(host, TimeoutPolicy(base_timeout=fd_base_timeout))
-        if heartbeats:
-            host.add_module(HeartbeatModule(host, n=n, period=heartbeat_period))
-        mounted = make_selector(selector, n, f, host)
+        state_machine = state_machine_factory() if state_machine_factory else None
+        mounted = mount(sim.host(pid), deployment, state_machine)
         if mounted.module is not None:
             qs_modules[pid] = mounted.module
-        replicas[pid] = backend.build_replica(
-            host, n, f, mounted,
-            batch_size=batch_size, batch_window=batch_window,
-            checkpoint_interval=checkpoint_interval,
-            state_machine=(
-                state_machine_factory() if state_machine_factory else None
-            ),
-        )
+        replicas[pid] = mounted.replica
     client_modules: Dict[int, XPaxosClient] = {}
     leader_of = make_selector(selector, n, f).leader_of
     for index in range(clients):
@@ -167,6 +161,6 @@ def build_backend_system(
         )
     adversary = Adversary(sim, f_max=f)
     return ProtocolSystem(
-        sim=sim, n=n, f=f, backend=backend, replicas=replicas,
+        sim=sim, n=n, f=f, backend=get_backend(protocol), replicas=replicas,
         clients=client_modules, qs_modules=qs_modules, adversary=adversary,
     )

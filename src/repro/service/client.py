@@ -3,8 +3,9 @@
 A :class:`ServiceClient` is one *logical* client: it stamps every
 operation with ``(client_id, sequence)``, keeps exactly one request
 outstanding (FIFO queue behind it), sends to the replica it believes
-leads, and accepts a result once ``f + 1`` replicas report the same
-value for the same sequence.  On timeout it retransmits as a broadcast
+leads (``leader_of`` its believed view, by the deployment's selector),
+and accepts a result once ``f + 1`` replicas report the same value for
+the same sequence.  On timeout it retransmits as a broadcast
 with exponential backoff and learns the current view — hence the leader
 — from the replies it gets back.
 
@@ -23,7 +24,7 @@ from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.crypto.authenticator import SignedMessage
 from repro.host import Module, TimerHandle
-from repro.protocol.enumeration import leader_of_view
+from repro.protocol.selector import make_selector
 from repro.util.ids import ProcessId
 from repro.xpaxos.messages import KIND_REPLY, KIND_REQUEST, ClientRequest, ReplyPayload
 
@@ -62,6 +63,7 @@ class ServiceClient(Module):
         backoff: float = 2.0,
         max_retry_timeout: float = 30.0,
         subscribe: bool = True,
+        leader_of: Optional[Callable[[int], ProcessId]] = None,
     ) -> None:
         super().__init__(host)
         self.n = n
@@ -72,6 +74,9 @@ class ServiceClient(Module):
         self.backoff = backoff
         self.max_retry_timeout = max_retry_timeout
         self._subscribe = subscribe
+        #: view -> the replica that leads it, by the deployment's selector
+        #: (default ``qs``'s mapping).
+        self.leader_of = leader_of if leader_of is not None else make_selector("qs", n, f).leader_of
         self.believed_view = 0
         self.next_sequence = 0
         self.current: Optional[ClientRequest] = None
@@ -141,8 +146,7 @@ class ServiceClient(Module):
             for replica in range(1, self.n + 1):
                 self.host.send(replica, KIND_REQUEST, self._signed_current)
         else:
-            leader = leader_of_view(self.believed_view, self.n, self.n - self.f)
-            self.host.send(leader, KIND_REQUEST, self._signed_current)
+            self.host.send(self.leader_of(self.believed_view), KIND_REQUEST, self._signed_current)
 
     def _arm_retry(self) -> None:
         self._cancel_retry()

@@ -139,6 +139,16 @@ class ServiceKVStore(StateMachine):
         expected = sum(entry[0] + 1 for entry in self._last_applied.values())
         return self.applied_requests == expected
 
+    def summary(self) -> Dict[str, Any]:
+        """What the service verdicts read off this replica's store."""
+        return {
+            "applied_requests": self.applied_requests,
+            "duplicates_refused": self.duplicates_refused,
+            "known_clients": self.known_clients,
+            "at_most_once": self.at_most_once_intact(),
+            "state_digest": self.state_digest(),
+        }
+
     # ------------------------------------------------------------ checkpoints
 
     def state_digest(self) -> str:

@@ -28,22 +28,27 @@ from typing import Any, Dict, List, Optional
 
 from repro.crypto.authenticator import Authenticator, SignedMessage
 from repro.crypto.keys import KeyRegistry
+from repro.deployment import Deployment
 from repro.net.batch import BatchAuthenticator
 from repro.net.cluster import ClusterConfig, run_cluster
 from repro.net.host import NetHost
-from repro.net.node import parse_peer_map
+from repro.net.node import live_deployment, parse_peer_map
 from repro.net.peer import PeerManager
 from repro.net.timers import NetTimerService
 from repro.net.wire import WIRE_V2
 from repro.protocol.selector import make_selector
 from repro.service.client import ServiceClient
-from repro.service.loadgen import LoadGenerator, Workload, summarize_phase
+from repro.service.loadgen import LoadGenerator, Workload, client_phases, verdict_of
 from repro.util.errors import ConfigurationError
 from repro.xpaxos.messages import KIND_REPLY, ReplyPayload
 
 
 class ClientGateway:
-    """One socket endpoint fronting many logical service clients."""
+    """One socket endpoint fronting many logical service clients.
+
+    ``leader_of`` is the deployment's view -> leader map every client
+    addresses (``None``: the ``qs`` mapping).
+    """
 
     def __init__(
         self,
@@ -53,6 +58,7 @@ class ClientGateway:
         retry_timeout: float = 1.0,
         wire_version: int = WIRE_V2,
         queue_capacity: int = 4096,
+        leader_of=None,
     ) -> None:
         self.n = n
         self.f = f
@@ -69,6 +75,7 @@ class ClientGateway:
         self.host: Optional[NetHost] = None
         self.clients: Dict[int, ServiceClient] = {}
         self._retry_timeout = retry_timeout
+        self._leader_of = leader_of
         self._client_count = clients
         self.replies_unrouted = 0
 
@@ -103,6 +110,7 @@ class ClientGateway:
                 authenticator=Authenticator(self.registry, pid),
                 retry_timeout=self._retry_timeout,
                 subscribe=False,
+                leader_of=self._leader_of,
             )
         self.host.start()
         for client in self.clients.values():
@@ -130,6 +138,64 @@ class ClientGateway:
         await self.manager.close()
 
 
+class ServiceCluster:
+    """One live service deployment: a :class:`ClientGateway` bound first,
+    then the deployment's replica cluster launched behind it.
+
+    ``deployment`` is a :func:`~repro.net.node.live_deployment`.
+
+    ``launch`` is :class:`~repro.net.cluster.ClusterConfig`'s launch-only
+    fields (duration, fault schedule, ``run_dir``, ...).
+    """
+
+    def __init__(self, deployment: Deployment, clients: int, retry_timeout: float,
+                 **launch: Any) -> None:
+        n, f = deployment.n, deployment.f
+        self.deployment = deployment
+        self.gateway = ClientGateway(
+            n, f, clients, retry_timeout=retry_timeout,
+            leader_of=make_selector(deployment.selector, n, f).leader_of,
+        )
+        self._launch = dict(launch, service_clients=clients)
+        self._cluster = None
+
+    async def start(self, executor=None) -> None:
+        """Launch the cluster (blocking in ``executor``) and return once the
+        rendezvous is done and the gateway reaches every replica."""
+        loop = asyncio.get_running_loop()
+        gateway = self.gateway
+        gateway_addr = await gateway.start_server()
+        config = ClusterConfig(
+            deployment=self.deployment,
+            extra_peers=tuple(
+                (pid, gateway_addr) for pid in range(self.deployment.n + 1, gateway.pid + 1)
+            ),
+            **self._launch,
+        )
+        ready = asyncio.Event()
+        addresses: Dict[int, str] = {}
+
+        def on_ready(reported: Dict[int, str]) -> None:
+            def _apply() -> None:
+                addresses.update(reported)
+                ready.set()
+
+            loop.call_soon_threadsafe(_apply)
+
+        self._cluster = loop.run_in_executor(
+            executor, lambda: run_cluster(config, on_ready=on_ready)
+        )
+        await asyncio.wait_for(ready.wait(), config.startup_timeout)
+        gateway.attach(addresses)
+        await gateway.warm_up()
+
+    async def close(self):
+        """Wait for the cluster run to end; returns its ``ClusterResult``."""
+        result = await self._cluster if self._cluster is not None else None
+        await self.gateway.close()
+        return result
+
+
 async def run_live_load(
     n: int = 4,
     f: int = 1,
@@ -151,6 +217,7 @@ async def run_live_load(
     heartbeat_period: float = 0.3,
     base_timeout: float = 1.5,
     protocol: str = "xpaxos",
+    selector: str = "qs",
     run_dir=None,
 ) -> Dict[str, Any]:
     """Drive the live replicated KV service under load; report phases.
@@ -166,54 +233,28 @@ async def run_live_load(
         raise ConfigurationError(
             f"kill_leader_at {kill_leader_at} outside the load window [0, {duration})"
         )
-    loop = asyncio.get_running_loop()
-    gateway = ClientGateway(n, f, clients, retry_timeout=retry_timeout)
-    gateway_addr = await gateway.start_server()
-
-    initial_leader = make_selector("qs", n, f).leader_of(0)
+    deployment = live_deployment(
+        n=n, f=f, selector=selector, protocol=protocol, service="kv",
+        batch_size=batch_size, batch_window=batch_window,
+        checkpoint_interval=checkpoint_interval,
+        heartbeat_period=heartbeat_period, base_timeout=base_timeout,
+    )
+    deployment.validate()
+    initial_leader = make_selector(selector, n, f).leader_of(0)
     kills = ()
     recovers = ()
     if kill_leader_at is not None:
         kills = ((initial_leader, settle + kill_leader_at),)
         if recover_at is not None:
             recovers = ((initial_leader, settle + recover_at),)
-    cluster_config = ClusterConfig(
-        n=n,
-        f=f,
+    service = ServiceCluster(
+        deployment, clients, retry_timeout,
         duration=settle + duration + drain + 2.0,
-        kills=kills,
-        recovers=recovers,
-        heartbeat_period=heartbeat_period,
-        base_timeout=base_timeout,
-        run_dir=run_dir,
-        service="kv",
-        service_clients=clients,
-        extra_peers=tuple(
-            (pid, gateway_addr) for pid in range(n + 1, gateway.pid + 1)
-        ),
-        batch_size=batch_size,
-        batch_window=batch_window,
-        checkpoint_interval=checkpoint_interval,
-        protocol=protocol,
+        kills=kills, recovers=recovers, run_dir=run_dir,
     )
-
-    ready = asyncio.Event()
-    address_box: Dict[int, str] = {}
-
-    def on_ready(addresses: Dict[int, str]) -> None:
-        def _apply() -> None:
-            address_box.update(addresses)
-            ready.set()
-
-        loop.call_soon_threadsafe(_apply)
-
-    cluster_future = loop.run_in_executor(
-        None, lambda: run_cluster(cluster_config, on_ready=on_ready)
-    )
+    gateway = service.gateway
     try:
-        await asyncio.wait_for(ready.wait(), cluster_config.startup_timeout)
-        gateway.attach(address_box)
-        await gateway.warm_up()
+        await service.start()
         # Give replicas their own warm-up slack before offering load, so
         # the steady phase does not start with a retry storm.
         await asyncio.sleep(settle)
@@ -238,40 +279,16 @@ async def run_live_load(
             for entry in generator.all_completions()
         ]
     finally:
-        cluster_result = await cluster_future
-        await gateway.close()
+        cluster_result = await service.close()
 
-    phases: Dict[str, Any] = {}
-    if kill_leader_at is None:
-        phases["steady"] = summarize_phase(completions, 0.0, duration)
-    else:
-        crash_end = recover_at if recover_at is not None else duration
-        phases["steady"] = summarize_phase(completions, 0.0, kill_leader_at)
-        phases["crash"] = summarize_phase(completions, kill_leader_at, crash_end)
-        if recover_at is not None:
-            phases["recovery"] = summarize_phase(completions, recover_at, duration)
-        resumed = [
-            entry.completed_at
-            for entry in completions
-            if entry.completed_at > kill_leader_at and entry.view > 0
-        ]
-        higher_view = [
-            client.believed_view
-            for client in gateway.clients.values()
-            if client.believed_view > 0
-        ]
-        phases["view_change"] = {
-            "start": kill_leader_at,
-            "end": round(min(resumed), 6) if resumed else None,
-            "outage": round(min(resumed) - kill_leader_at, 6) if resumed else None,
-            "new_view_learned_by": len(higher_view),
-        }
-
-    verdict = service_verdict(cluster_result)
+    phases = client_phases(
+        gateway.clients.values(), completions, duration, kill_leader_at, recover_at
+    )
     return {
         "n": n,
         "f": f,
         "protocol": protocol,
+        "selector": selector,
         "clients": clients,
         "mode": mode,
         "rate": rate,
@@ -284,47 +301,23 @@ async def run_live_load(
         "kill_leader_at": kill_leader_at,
         "recover_at": recover_at,
         "initial_leader": initial_leader,
-        "at_most_once": verdict["at_most_once"],
-        "duplicates_refused": verdict["duplicates_refused"],
-        "replica_applied": verdict["replica_applied"],
-        "digests_agree": verdict["digests_agree"],
+        **service_verdict(cluster_result),
         "replies_unrouted": gateway.replies_unrouted,
         "cluster": cluster_result.summary(),
     }
 
 
 def service_verdict(cluster_result) -> Dict[str, Any]:
-    """Service invariants over one cluster's final node records.
-
-    Shared by the single-cluster driver above and the sharded live
-    driver (:mod:`repro.shard.live`), which evaluates it per shard.
-    """
-    service_finals: Dict[int, Dict[str, Any]] = {}
-    for pid, node in cluster_result.nodes.items():
-        if node.final is not None and "service" in node.final:
-            service_finals[pid] = node.final["service"]
-    running = [
-        pid
-        for pid, node in cluster_result.nodes.items()
-        if node.final is not None and node.final.get("running") and pid in service_finals
-    ]
-    applied = {pid: service_finals[pid]["applied_requests"] for pid in running}
-    most_applied = max(applied.values(), default=0)
-    frontier_digests = {
-        service_finals[pid]["state_digest"]
-        for pid in running
-        if applied[pid] == most_applied
+    """:func:`~repro.service.loadgen.verdict_of` one cluster's final node
+    records (per shard, for :mod:`repro.shard.live`)."""
+    finals = {
+        pid: node.final for pid, node in cluster_result.nodes.items()
+        if node.final is not None and "service" in node.final
     }
-    return {
-        "at_most_once": all(
-            block["at_most_once"] for block in service_finals.values()
-        ) if service_finals else None,
-        "duplicates_refused": sum(
-            block["duplicates_refused"] for block in service_finals.values()
-        ),
-        "replica_applied": {pid: applied[pid] for pid in sorted(applied)},
-        "digests_agree": len(frontier_digests) <= 1,
-    }
+    return verdict_of(
+        {pid: final["service"] for pid, final in finals.items()},
+        [pid for pid, final in finals.items() if final.get("running")],
+    )
 
 
 def run_live_load_blocking(**kwargs: Any) -> Dict[str, Any]:

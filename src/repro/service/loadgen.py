@@ -247,6 +247,85 @@ class LoadGenerator:
         return sum(client.retries for client in self.clients)
 
 
+def load_phases(
+    completions,
+    duration: float,
+    kill_at: Optional[float],
+    recover_at: Optional[float],
+    killed: bool = True,
+) -> Dict[str, Any]:
+    """Phase summaries of one run, one shard of a deployment, or its aggregate.
+
+    Phases: ``steady`` (start -> kill), ``crash`` (kill -> recovery or
+    end), ``recovery`` (recover -> end); without a kill schedule the
+    whole run is one steady phase.  For a shard that was not ``killed``
+    the "crash" window is the evidence that the fault stayed contained.
+    ``view_change`` — only where the leader was killed — is the measured
+    window between the kill and the first completion served in a higher
+    view (in-flight old-view replies excluded): the client-visible outage.
+    """
+    phases: Dict[str, Any] = {}
+    if kill_at is None:
+        phases["steady"] = summarize_phase(completions, 0.0, duration)
+        return phases
+    crash_end = recover_at if recover_at is not None else duration
+    phases["steady"] = summarize_phase(completions, 0.0, kill_at)
+    phases["crash"] = summarize_phase(completions, kill_at, crash_end)
+    if recover_at is not None:
+        phases["recovery"] = summarize_phase(completions, recover_at, duration)
+    if killed:
+        resumed = [entry.completed_at for entry in completions
+                   if entry.completed_at > kill_at and entry.view > 0]
+        phases["view_change"] = {
+            "start": kill_at,
+            "end": round(min(resumed), 6) if resumed else None,
+            "outage": round(min(resumed) - kill_at, 6) if resumed else None,
+        }
+    return phases
+
+
+def client_phases(clients, completions, duration, kill_at, recover_at) -> Dict[str, Any]:
+    """:func:`load_phases` of one deployment, counting in ``view_change``
+    how many ``clients`` learned a higher view."""
+    phases = load_phases(completions, duration, kill_at, recover_at)
+    if "view_change" in phases:
+        phases["view_change"]["new_view_learned_by"] = sum(
+            1 for client in clients if client.believed_view > 0
+        )
+    return phases
+
+
+def verdict_of(summaries: Dict[int, Dict[str, Any]], running) -> Dict[str, Any]:
+    """At-most-once and frontier-digest verdicts over per-replica store
+    ``summaries`` (pid -> :meth:`ServiceKVStore.summary`), of which the
+    ``running`` pids are still up.
+
+    Replicas outside the active quorum legitimately lag; safety says
+    replicas at the *same* execution point hold the same state.
+    """
+    applied = {pid: summaries[pid]["applied_requests"] for pid in sorted(running)}
+    most_applied = max(applied.values(), default=0)
+    frontier = {
+        summaries[pid]["state_digest"] for pid in applied if applied[pid] == most_applied
+    }
+    blocks = summaries.values()
+    return {
+        "at_most_once": all(b["at_most_once"] for b in blocks) if summaries else None,
+        "duplicates_refused": sum(b["duplicates_refused"] for b in blocks),
+        "replica_applied": applied,
+        "digests_agree": len(frontier) <= 1,
+    }
+
+
+def world_verdict(world) -> Dict[str, Any]:
+    """:func:`verdict_of` one sim service world."""
+    replicas = world.replicas.values()
+    return verdict_of(
+        {r.pid: r.kv.summary() for r in replicas},
+        [r.pid for r in replicas if r.host.running],
+    )
+
+
 def run_sim_load(
     n: int = 4,
     f: int = 1,
@@ -265,14 +344,10 @@ def run_sim_load(
     batch_window: float = 0.5,
     checkpoint_interval: Optional[int] = 64,
     protocol: str = "xpaxos",
+    selector: str = "qs",
 ) -> Dict[str, Any]:
-    """Run the service under load in the deterministic sim; report phases.
-
-    Phases: ``steady`` (start -> kill), ``crash`` (kill -> recovery or
-    end), ``recovery`` (recover -> end).  The ``view_change`` phase is
-    the measured window between the leader kill and the first completion
-    served in a higher view — the client-visible outage.  Without a kill
-    schedule the whole run is one steady phase.
+    """Run the service under load in the deterministic sim; report phases
+    (:func:`client_phases`) and the service verdicts (:func:`world_verdict`).
     """
     from repro.sim.worlds import build_kv_service_world
 
@@ -286,6 +361,7 @@ def run_sim_load(
         batch_window=batch_window,
         checkpoint_interval=checkpoint_interval,
         protocol=protocol,
+        selector=selector,
     )
     workload = Workload(seed=seed, keys=keys, zipf_s=zipf_s)
     generator = LoadGenerator(
@@ -311,42 +387,14 @@ def run_sim_load(
     world.sim.run_until(duration + drain)
 
     completions = generator.all_completions()
-    phases: Dict[str, Dict[str, float]] = {}
-    if kill_leader_at is None:
-        phases["steady"] = summarize_phase(completions, 0.0, duration)
-    else:
-        crash_end = recover_at if recover_at is not None else duration
-        phases["steady"] = summarize_phase(completions, 0.0, kill_leader_at)
-        phases["crash"] = summarize_phase(completions, kill_leader_at, crash_end)
-        if recover_at is not None:
-            phases["recovery"] = summarize_phase(completions, recover_at, duration)
-        # Client-visible view-change outage: kill -> first completion
-        # served in a higher view (in-flight old-view replies excluded).
-        resumed = [entry.completed_at for entry in completions
-                   if entry.completed_at > kill_leader_at and entry.view > 0]
-        higher_view = [
-            client.believed_view for client in world.clients.values()
-            if client.believed_view > 0
-        ]
-        phases["view_change"] = {
-            "start": kill_leader_at,
-            "end": round(min(resumed), 6) if resumed else None,
-            "outage": round(min(resumed) - kill_leader_at, 6) if resumed else None,
-            "new_view_learned_by": len(higher_view),
-        }
-
-    replicas = list(world.replicas.values())
-    live = [r for r in replicas if r.host.running]
-    executed = {r.pid: r.kv.applied_requests for r in live}
-    # Replicas outside the active quorum legitimately lag; safety says
-    # replicas at the *same* execution point hold the same state.
-    most_applied = max(executed.values(), default=0)
-    frontier = [r for r in live if r.kv.applied_requests == most_applied]
-    digests_agree = len({r.kv.state_digest() for r in frontier}) <= 1
+    phases = client_phases(
+        world.clients.values(), completions, duration, kill_leader_at, recover_at
+    )
     return {
         "n": n,
         "f": f,
         "protocol": protocol,
+        "selector": selector,
         "clients": clients,
         "mode": mode,
         "rate": rate,
@@ -359,9 +407,6 @@ def run_sim_load(
         "kill_leader_at": kill_leader_at,
         "recover_at": recover_at,
         "initial_leader": initial_leader,
-        "at_most_once": all(r.kv.at_most_once_intact() for r in replicas),
-        "duplicates_refused": sum(r.kv.duplicates_refused for r in replicas),
-        "replica_applied": executed,
-        "digests_agree": digests_agree,
+        **world_verdict(world),
         "world": world,
     }

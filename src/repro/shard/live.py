@@ -31,14 +31,13 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.net.cluster import ClusterConfig, run_cluster
+from repro.net.node import live_deployment
 from repro.obs.registry import merge_snapshots
 from repro.protocol.selector import make_selector
-from repro.service.live import ClientGateway, service_verdict
-from repro.service.loadgen import Workload
+from repro.service.live import ServiceCluster, service_verdict
+from repro.service.loadgen import Workload, load_phases
 from repro.shard.ring import DEFAULT_VNODES, HashRing
 from repro.shard.router import ShardedLoadGenerator, ShardRouter
-from repro.shard.sim import shard_phases
 from repro.util.errors import ConfigurationError
 
 
@@ -85,55 +84,32 @@ async def run_live_shard_load(
             f"kill_shard_leader_at {kill_shard_leader_at} outside the load "
             f"window [0, {duration})"
         )
-    loop = asyncio.get_running_loop()
+    deployment = live_deployment(
+        n=n, f=f, protocol="xpaxos", service="kv",
+        batch_size=batch_size, batch_window=batch_window,
+        checkpoint_interval=checkpoint_interval,
+        heartbeat_period=heartbeat_period, base_timeout=base_timeout,
+    )
+    deployment.validate()
     run_dir = Path(run_dir) if run_dir is not None else None
-
-    initial_leader = make_selector("qs", n, f).leader_of(0)
-    gateways: List[ClientGateway] = []
-    readies: List[asyncio.Event] = []
-    address_boxes: List[Dict[int, str]] = []
-    configs: List[ClusterConfig] = []
+    initial_leader = make_selector(deployment.selector, n, f).leader_of(0)
+    services: List[ServiceCluster] = []
     for s in range(shards):
-        gateway = ClientGateway(n, f, clients, retry_timeout=retry_timeout)
-        gateway_addr = await gateway.start_server()
         kills = ()
         recovers = ()
         if kill_shard_leader_at is not None and s == kill_shard:
             kills = ((initial_leader, settle + kill_shard_leader_at),)
             if recover_at is not None:
                 recovers = ((initial_leader, settle + recover_at),)
-        configs.append(ClusterConfig(
-            n=n,
-            f=f,
+        services.append(ServiceCluster(
+            deployment, clients, retry_timeout,
             label=f"shard-{s}",
             duration=settle + duration + drain + 2.0,
             kills=kills,
             recovers=recovers,
-            heartbeat_period=heartbeat_period,
-            base_timeout=base_timeout,
             run_dir=(run_dir / f"shard_{s}") if run_dir is not None else None,
-            service="kv",
-            service_clients=clients,
-            extra_peers=tuple(
-                (pid, gateway_addr) for pid in range(n + 1, gateway.pid + 1)
-            ),
-            batch_size=batch_size,
-            batch_window=batch_window,
-            checkpoint_interval=checkpoint_interval,
         ))
-        gateways.append(gateway)
-        readies.append(asyncio.Event())
-        address_boxes.append({})
-
-    def make_on_ready(index: int):
-        def on_ready(addresses: Dict[int, str]) -> None:
-            def _apply() -> None:
-                address_boxes[index].update(addresses)
-                readies[index].set()
-
-            loop.call_soon_threadsafe(_apply)
-
-        return on_ready
+    gateways = [service.gateway for service in services]
 
     # One launcher thread per shard: run_cluster blocks for the whole
     # cluster lifetime, so the default executor (sized from CPU count)
@@ -141,21 +117,8 @@ async def run_live_shard_load(
     executor = ThreadPoolExecutor(
         max_workers=shards, thread_name_prefix="shard-cluster"
     )
-    cluster_futures = [
-        loop.run_in_executor(
-            executor,
-            lambda cfg=configs[s], cb=make_on_ready(s): run_cluster(cfg, on_ready=cb),
-        )
-        for s in range(shards)
-    ]
     try:
-        await asyncio.wait_for(
-            asyncio.gather(*(ready.wait() for ready in readies)),
-            max(cfg.startup_timeout for cfg in configs),
-        )
-        for s, gateway in enumerate(gateways):
-            gateway.attach(address_boxes[s])
-        await asyncio.gather(*(gateway.warm_up() for gateway in gateways))
+        await asyncio.gather(*(service.start(executor) for service in services))
         await asyncio.sleep(settle)
 
         ring = HashRing(shards, vnodes=vnodes, seed=seed)
@@ -180,10 +143,8 @@ async def run_live_shard_load(
             for s, records in generator.shard_completions().items()
         }
     finally:
-        cluster_results = await asyncio.gather(*cluster_futures)
+        cluster_results = [await service.close() for service in services]
         executor.shutdown(wait=False)
-        for gateway in gateways:
-            await gateway.close()
 
     per_shard: Dict[int, Dict[str, Any]] = {}
     for s in range(shards):
@@ -191,7 +152,7 @@ async def run_live_shard_load(
         block = {
             "completed": len(records),
             "routed": router.routed[s],
-            "phases": shard_phases(
+            "phases": load_phases(
                 records, duration, kill_shard_leader_at, recover_at,
                 killed=(s == kill_shard),
             ),
@@ -205,7 +166,7 @@ async def run_live_shard_load(
         (entry for records in shard_records.values() for entry in records),
         key=lambda entry: entry.completed_at,
     )
-    aggregate = shard_phases(
+    aggregate = load_phases(
         merged_all, duration, kill_shard_leader_at, recover_at, killed=False
     )
 

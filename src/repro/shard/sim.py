@@ -19,59 +19,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.obs.registry import merge_snapshots
-from repro.service.loadgen import Workload, summarize_phase
+from repro.service.loadgen import Workload, load_phases, world_verdict
 from repro.shard.ring import DEFAULT_VNODES, HashRing
 from repro.shard.router import ShardedLoadGenerator, ShardRouter
 from repro.util.errors import ConfigurationError
-
-
-def shard_phases(
-    completions,
-    duration: float,
-    kill_at: Optional[float],
-    recover_at: Optional[float],
-    killed: bool,
-) -> Dict[str, Any]:
-    """Phase summaries for one shard (or the aggregate) of a deployment.
-
-    Every shard reports ``steady``/``crash``/``recovery`` windows when a
-    kill schedule exists — for *unaffected* shards the "crash" window is
-    the evidence that the fault stayed contained.  The measured
-    ``view_change`` outage is only meaningful on the killed shard.
-    """
-    phases: Dict[str, Any] = {}
-    if kill_at is None:
-        phases["steady"] = summarize_phase(completions, 0.0, duration)
-        return phases
-    crash_end = recover_at if recover_at is not None else duration
-    phases["steady"] = summarize_phase(completions, 0.0, kill_at)
-    phases["crash"] = summarize_phase(completions, kill_at, crash_end)
-    if recover_at is not None:
-        phases["recovery"] = summarize_phase(completions, recover_at, duration)
-    if killed:
-        resumed = [entry.completed_at for entry in completions
-                   if entry.completed_at > kill_at and entry.view > 0]
-        phases["view_change"] = {
-            "start": kill_at,
-            "end": round(min(resumed), 6) if resumed else None,
-            "outage": round(min(resumed) - kill_at, 6) if resumed else None,
-        }
-    return phases
-
-
-def shard_service_verdict(world) -> Dict[str, Any]:
-    """At-most-once + frontier-digest verdicts for one sim shard."""
-    replicas = list(world.replicas.values())
-    live = [r for r in replicas if r.host.running]
-    applied = {r.pid: r.kv.applied_requests for r in live}
-    most_applied = max(applied.values(), default=0)
-    frontier = [r for r in live if r.kv.applied_requests == most_applied]
-    return {
-        "at_most_once": all(r.kv.at_most_once_intact() for r in replicas),
-        "duplicates_refused": sum(r.kv.duplicates_refused for r in replicas),
-        "replica_applied": applied,
-        "digests_agree": len({r.kv.state_digest() for r in frontier}) <= 1,
-    }
 
 
 def run_sim_shard_load(
@@ -170,14 +121,14 @@ def run_sim_shard_load(
         block = {
             "completed": len(records),
             "routed": router.routed[s],
-            "phases": shard_phases(
+            "phases": load_phases(
                 records, duration, kill_at, recover_at, killed=(s == kill_shard)
             ),
         }
-        block.update(shard_service_verdict(world))
+        block.update(world_verdict(world))
         per_shard[s] = block
 
-    aggregate = shard_phases(
+    aggregate = load_phases(
         generator.all_completions(), duration,
         kill_shard_leader_at, recover_at, killed=False,
     )

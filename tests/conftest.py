@@ -24,4 +24,4 @@ def qs_world_5_2():
 @pytest.fixture
 def fs_world_7_2():
     """n=7=3f+1, f=2 Follower Selection world."""
-    return build_qs_world(7, 2, follower_mode=True)
+    return build_qs_world(7, 2, selector="fs")

@@ -97,7 +97,7 @@ class TestFollowersMessageVerification:
     def _run_with_leader_payload(self, make_payload, seed=3):
         """Crash p1 so p3+ become leader-hungry, then have the new leader
         be Byzantine: intercept its FOLLOWERS broadcast via rewriting."""
-        sim, modules = build_qs_world(7, 2, follower_mode=True, seed=seed)
+        sim, modules = build_qs_world(7, 2, selector="fs", seed=seed)
         # We simulate the malformed message by injecting directly from p2
         # in the current epoch after p1 crashes and p2 region changes...
         return sim, modules
@@ -169,7 +169,7 @@ class TestEquivocationDetection:
         # A Byzantine *current leader* equivocates: after stabilization on
         # itself as leader, it sends two conflicting FOLLOWERS messages
         # for its epoch; receivers detect it permanently.
-        sim, modules = build_qs_world(7, 2, follower_mode=True, seed=5)
+        sim, modules = build_qs_world(7, 2, selector="fs", seed=5)
         byz = sim.host(1)  # default leader is Byzantine
 
         def equivocate():

@@ -16,10 +16,10 @@ from repro.core.messages import KIND_UPDATE, UpdatePayload
 from repro.crypto.authenticator import Authenticator, SignedMessage
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.signatures import Signature
+from repro.deployment import Deployment, mount
 from repro.net.host import NetHost
 from repro.net.peer import PeerManager, ReconnectPolicy
 from repro.net.timers import NetTimerService
-from repro.sim.worlds import attach_qs_stack
 
 
 async def start_mesh(n, f=1, heartbeat=0.1, timeout=0.6, start=True):
@@ -39,9 +39,9 @@ async def start_mesh(n, f=1, heartbeat=0.1, timeout=0.6, start=True):
             NetTimerService(loop),
         )
         hosts[pid] = host
-        modules[pid] = attach_qs_stack(
-            host, n, f, heartbeat_period=heartbeat, base_timeout=timeout
-        )
+        modules[pid] = mount(host, Deployment(
+            n=n, f=f, heartbeat_period=heartbeat, base_timeout=timeout
+        )).module
     for pid in range(1, n + 1):
         await managers[pid].warm_up(timeout=5.0)
     if start:
